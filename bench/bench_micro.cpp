@@ -1,6 +1,6 @@
 // Engineering micro-benchmarks (google-benchmark): the solver and engine
 // kernels underlying the paper-reproduction benches, including the
-// dense-vs-sparse MNA ablation called out in DESIGN.md.
+// SparseLU-vs-dense-oracle MNA ablation called out in DESIGN.md.
 
 #include <benchmark/benchmark.h>
 
@@ -26,12 +26,12 @@
 #include "spice/circuit.h"
 #include "spice/csr.h"
 #include "spice/diode.h"
-#include "spice/linalg.h"
 #include "spice/passive.h"
 #include "spice/sources.h"
 #include "spice/solution.h"
 #include "spice/sparse_lu.h"
 #include "spice/stamp.h"
+#include "support/dense_oracle.h"
 #include "util/fft.h"
 #include "util/json.h"
 #include "util/numeric.h"
@@ -42,19 +42,21 @@ namespace sp = ahfic::spice;
 namespace ah = ahfic::ahdl;
 namespace bg = ahfic::bjtgen;
 namespace cd = ahfic::celldb;
+namespace oracle = ahfic::oracle;
 namespace u = ahfic::util;
 
 namespace {
 
-void fillSystem(int n, sp::DenseMatrix<double>& a,
-                sp::SparseMatrix<double>& s, std::vector<double>& b) {
+/// An MNA-like random system: strong diagonal, ~5 off-diagonals per
+/// row. Returns the dense matrix, and the same values on a CsrPattern.
+void fillSystem(int n, oracle::DenseMatrix<double>& a, sp::CsrPattern& pat,
+                std::vector<double>& vals, std::vector<double>& b) {
   u::Rng rng(static_cast<std::uint64_t>(n));
-  a = sp::DenseMatrix<double>(n, n);
-  s = sp::SparseMatrix<double>(n);
+  a = oracle::DenseMatrix<double>(n, n);
   b.assign(static_cast<size_t>(n), 0.0);
+  std::vector<std::pair<int, int>> entries;
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
-      // MNA-like fill: strong diagonal, ~5 off-diagonals per row.
       double v = 0.0;
       if (i == j)
         v = 10.0 + rng.uniform();
@@ -62,19 +64,26 @@ void fillSystem(int n, sp::DenseMatrix<double>& a,
         v = rng.uniform(-1, 1);
       if (v != 0.0) {
         a.at(i, j) = v;
-        s.add(i, j, v);
+        entries.emplace_back(i, j);
       }
     }
     b[static_cast<size_t>(i)] = rng.uniform(-1, 1);
   }
+  pat.build(n, std::move(entries));
+  vals.assign(pat.nonzeros(), 0.0);
+  for (int i = 0; i < n; ++i)
+    for (int p = pat.rowPtr()[static_cast<size_t>(i)];
+         p < pat.rowPtr()[static_cast<size_t>(i) + 1]; ++p)
+      vals[static_cast<size_t>(p)] =
+          a.at(i, pat.colIdx()[static_cast<size_t>(p)]);
 }
 
 void BM_DenseLuSolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  sp::DenseMatrix<double> a;
-  sp::SparseMatrix<double> s;
-  std::vector<double> b;
-  fillSystem(n, a, s, b);
+  oracle::DenseMatrix<double> a;
+  sp::CsrPattern pat;
+  std::vector<double> vals, b;
+  fillSystem(n, a, pat, vals, b);
   for (auto _ : state) {
     auto aCopy = a;
     std::vector<int> perm;
@@ -86,21 +95,23 @@ void BM_DenseLuSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseLuSolve)->Arg(16)->Arg(64)->Arg(128);
 
-void BM_SparseSolve(benchmark::State& state) {
+void BM_SparseLuRefactorSolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  sp::DenseMatrix<double> a;
-  sp::SparseMatrix<double> s;
-  std::vector<double> b;
-  fillSystem(n, a, s, b);
+  oracle::DenseMatrix<double> a;
+  sp::CsrPattern pat;
+  std::vector<double> vals, b;
+  fillSystem(n, a, pat, vals, b);
+  sp::SparseLU<double> lu;
+  lu.analyze(pat);
+  lu.factor(vals);
+  std::vector<double> x;
   for (auto _ : state) {
-    auto sCopy = s;
-    auto bCopy = b;
-    std::vector<double> x;
-    sCopy.solveInPlace(bCopy, x);
+    lu.factor(vals);
+    lu.solve(b, x);
     benchmark::DoNotOptimize(x);
   }
 }
-BENCHMARK(BM_SparseSolve)->Arg(16)->Arg(64)->Arg(128);
+BENCHMARK(BM_SparseLuRefactorSolve)->Arg(16)->Arg(64)->Arg(128);
 
 void BM_SpiceOperatingPoint(benchmark::State& state) {
   // The Fig. 11 ring oscillator's DC solve (~100 unknowns, 20 BJTs).
@@ -172,11 +183,12 @@ void BM_Fft4096(benchmark::State& state) {
 BENCHMARK(BM_Fft4096);
 
 // ---------------------------------------------------------------------------
-// Solver ablation (`--solver-json FILE`): dense LU vs the legacy row-list
-// SparseMatrix::solveInPlace vs the structure-caching SparseLU, at both the
+// Solver ablation (`--solver-json FILE`): the structure-caching SparseLU
+// against the dense-LU oracle (tests/support/dense_oracle.h), at both the
 // kernel level (MNA-like random systems) and the circuit level (diode-RC
-// ladders through the full Analyzer). Emits the "ahfic-bench-solver-v1"
-// document consumed by the CI solver-ablation smoke job.
+// ladders through the full Analyzer, checked against the oracle's
+// operating point). Emits the "ahfic-bench-solver-v1" document consumed
+// by the CI solver-ablation smoke job and the perf-regression gate.
 
 double nowNs() {
   return static_cast<double>(
@@ -200,41 +212,30 @@ double timeOp(F&& f, double targetNs = 2e7, int maxReps = 400) {
 }
 
 /// Solver-only ablation on one MNA-like system of size n: per-iteration
-/// cost of each backend as the engine pays it (the dense and legacy paths
-/// re-copy their matrix every Newton iteration because elimination is
-/// destructive; the SparseLU path refactors in place).
+/// cost as a Newton loop pays it (the dense oracle re-copies its matrix
+/// every iteration because elimination is destructive; SparseLU
+/// refactors in place).
 struct SolverKernelResult {
   int n = 0;
   size_t nnz = 0;
   size_t nnzLU = 0;        ///< L+U nonzeros after ordering (fill-in)
-  double denseNs = 0.0;    ///< copy + luFactor + luSolve
-  double legacyNs = 0.0;   ///< copy + solveInPlace
+  double denseNs = 0.0;    ///< copy + luFactor + luSolve (oracle)
   double sparseSetupNs = 0.0;    ///< analyze + first (pivoting) factor
   double sparseRefactorNs = 0.0; ///< pattern-reusing numeric factor
   double sparseSolveNs = 0.0;    ///< one substitution pass
   double sparseNs() const { return sparseRefactorNs + sparseSolveNs; }
+  double speedupVsDense() const {
+    return sparseNs() > 0.0 ? denseNs / sparseNs() : 0.0;
+  }
 };
 
 SolverKernelResult solverKernel(int n) {
   SolverKernelResult r;
   r.n = n;
-  sp::DenseMatrix<double> a;
-  sp::SparseMatrix<double> s;
-  std::vector<double> b;
-  fillSystem(n, a, s, b);
-
-  std::vector<std::pair<int, int>> entries;
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j)
-      if (a.at(i, j) != 0.0) entries.emplace_back(i, j);
+  oracle::DenseMatrix<double> a;
   sp::CsrPattern pat;
-  pat.build(n, std::move(entries));
-  std::vector<double> vals(pat.nonzeros(), 0.0);
-  for (int i = 0; i < n; ++i)
-    for (int p = pat.rowPtr()[static_cast<size_t>(i)];
-         p < pat.rowPtr()[static_cast<size_t>(i) + 1]; ++p)
-      vals[static_cast<size_t>(p)] =
-          a.at(i, pat.colIdx()[static_cast<size_t>(p)]);
+  std::vector<double> vals, b;
+  fillSystem(n, a, pat, vals, b);
   r.nnz = pat.nonzeros();
 
   r.denseNs = timeOp([&] {
@@ -243,13 +244,6 @@ SolverKernelResult solverKernel(int n) {
     aCopy.luFactor(perm);
     std::vector<double> x;
     aCopy.luSolve(perm, b, x);
-    benchmark::DoNotOptimize(x);
-  });
-  r.legacyNs = timeOp([&] {
-    auto sCopy = s;
-    auto bCopy = b;
-    std::vector<double> x;
-    sCopy.solveInPlace(bCopy, x);
     benchmark::DoNotOptimize(x);
   });
 
@@ -268,9 +262,9 @@ SolverKernelResult solverKernel(int n) {
   return r;
 }
 
-/// Circuit-level ablation: a diode-RC ladder run through the full
-/// Analyzer per backend. Wall time covers assemble + factor + solve +
-/// device evaluation — what a user actually waits for.
+/// Circuit-level run: a diode-RC ladder through the full Analyzer. Wall
+/// time covers assemble + factor + solve + device evaluation — what a
+/// user actually waits for.
 struct CircuitBackendResult {
   double wallNs = 0.0;
   long newtonIterations = 0;
@@ -305,20 +299,19 @@ void buildDiodeLadder(sp::Circuit& ckt, int stages) {
   }
 }
 
-CircuitBackendResult runCircuitBackend(int stages, sp::SolverKind kind,
-                                       const std::vector<double>& refOp,
-                                       std::vector<double>* opOut,
-                                       int* unknowns) {
+CircuitBackendResult runCircuit(int stages, int* unknowns) {
+  // Reference: the dense oracle's operating point of a twin ladder.
+  sp::Circuit ref;
+  buildDiodeLadder(ref, stages);
+  const std::vector<double> refOp = oracle::DenseEngine(ref).op();
+
   sp::Circuit ckt;
   buildDiodeLadder(ckt, stages);
-  sp::AnalysisOptions opts;
-  opts.solver = kind;
-  sp::Analyzer an(ckt, opts);
-  if (unknowns != nullptr) *unknowns = an.unknownCount();
+  sp::Analyzer an(ckt);
+  *unknowns = an.unknownCount();
 
   CircuitBackendResult r;
   const auto x = an.op();
-  if (opOut != nullptr) *opOut = x;
   for (size_t i = 0; i < refOp.size() && i < x.size(); ++i)
     r.maxAbsDiffVsDense =
         std::max(r.maxAbsDiffVsDense, std::abs(x[i] - refOp[i]));
@@ -343,9 +336,7 @@ CircuitBackendResult runCircuitBackend(int stages, sp::SolverKind kind,
 double measureDeviceEvalNs(int stages) {
   sp::Circuit ckt;
   buildDiodeLadder(ckt, stages);
-  sp::AnalysisOptions opts;
-  opts.solver = sp::SolverKind::kSparse;
-  sp::Analyzer an(ckt, opts);
+  sp::Analyzer an(ckt);
   const std::vector<double> xOp = an.op();
   const sp::Solution x(&xOp);
 
@@ -367,17 +358,15 @@ double measureDeviceEvalNs(int stages) {
   });
 }
 
-u::JsonValue backendJson(const CircuitBackendResult& r, bool sparse) {
+u::JsonValue circuitJson(const CircuitBackendResult& r) {
   u::JsonValue v = u::JsonValue::object();
   v.set("wallNs", r.wallNs);
   v.set("newtonIterations", static_cast<double>(r.newtonIterations));
   v.set("nsPerIteration", r.nsPerIteration());
   v.set("maxAbsDiffVsDense", r.maxAbsDiffVsDense);
-  if (sparse) {
-    v.set("fullFactors", static_cast<double>(r.fullFactors));
-    v.set("refactors", static_cast<double>(r.refactors));
-    v.set("patternInserts", static_cast<double>(r.patternInserts));
-  }
+  v.set("fullFactors", static_cast<double>(r.fullFactors));
+  v.set("refactors", static_cast<double>(r.refactors));
+  v.set("patternInserts", static_cast<double>(r.patternInserts));
   return v;
 }
 
@@ -385,97 +374,70 @@ int runSolverAblation(const std::string& outPath) {
   u::JsonValue doc = u::JsonValue::object();
   doc.set("schema", "ahfic-bench-solver-v1");
 
-  std::cout << "== Solver ablation: dense vs legacy sparse vs SparseLU ==\n"
+  std::cout << "== Solver ablation: SparseLU vs the dense-LU oracle ==\n"
             << "(per-iteration cost as the Newton loop pays it; the dense\n"
-            << " and legacy backends re-copy their destructive matrix each\n"
-            << " iteration, SparseLU refactors its cached pattern)\n\n";
+            << " oracle re-copies its destructive matrix each iteration,\n"
+            << " SparseLU refactors its cached pattern)\n\n";
 
-  u::Table kt({"n", "nnz", "nnz(L+U)", "dense [ns]", "legacy [ns]",
-               "refactor+solve [ns]", "vs legacy", "vs dense"});
+  u::Table kt({"n", "nnz", "nnz(L+U)", "dense [ns]", "refactor+solve [ns]",
+               "vs dense"});
   u::JsonValue kernels = u::JsonValue::array();
   for (int n : {16, 64, 256, 1024}) {
     const auto r = solverKernel(n);
-    const double vsLegacy = r.sparseNs() > 0.0 ? r.legacyNs / r.sparseNs()
-                                               : 0.0;
-    const double vsDense = r.denseNs > 0.0 ? r.sparseNs() / r.denseNs : 0.0;
     kt.addRow({std::to_string(r.n), std::to_string(r.nnz),
                std::to_string(r.nnzLU), u::fixed(r.denseNs, 0),
-               u::fixed(r.legacyNs, 0), u::fixed(r.sparseNs(), 0),
-               u::fixed(vsLegacy, 1) + "x", u::fixed(vsDense, 2)});
+               u::fixed(r.sparseNs(), 0),
+               u::fixed(r.speedupVsDense(), 1) + "x"});
     u::JsonValue k = u::JsonValue::object();
     k.set("n", static_cast<double>(r.n));
     k.set("nnz", static_cast<double>(r.nnz));
     k.set("nnzLU", static_cast<double>(r.nnzLU));
     k.set("denseNs", r.denseNs);
-    k.set("legacyNs", r.legacyNs);
     k.set("sparseSetupNs", r.sparseSetupNs);
     k.set("sparseRefactorNs", r.sparseRefactorNs);
     k.set("sparseSolveNs", r.sparseSolveNs);
     k.set("sparseNs", r.sparseNs());
-    k.set("speedupVsLegacy", vsLegacy);
-    k.set("ratioVsDense", vsDense);
+    k.set("speedupVsDense", r.speedupVsDense());
     kernels.push(std::move(k));
   }
   doc.set("kernel", std::move(kernels));
   kt.print(std::cout);
   std::cout << "\n";
 
-  u::Table ct({"circuit", "unknowns", "backend", "wall [ms]", "iters",
-               "ns/iter", "dev-eval [ns/iter]", "max |dV| vs dense"});
+  u::Table ct({"circuit", "unknowns", "wall [ms]", "iters", "ns/iter",
+               "dev-eval [ns/iter]", "solver vs dense", "max |dV| vs dense"});
   u::JsonValue circuits = u::JsonValue::array();
   for (int stages : {10, 60, 250}) {
-    std::vector<double> refOp;
     int unknowns = 0;
-    const auto dense = runCircuitBackend(stages, sp::SolverKind::kDense,
-                                         {}, &refOp, &unknowns);
-    const auto legacy = runCircuitBackend(
-        stages, sp::SolverKind::kSparseLegacy, refOp, nullptr, nullptr);
-    const auto sparse = runCircuitBackend(stages, sp::SolverKind::kSparse,
-                                          refOp, nullptr, nullptr);
+    const auto sparse = runCircuit(stages, &unknowns);
     // Solver-only comparison at this circuit's exact unknown count, so
     // the kernel-level speedup is attributable to the bench circuit.
     const auto solverOnly = solverKernel(unknowns);
     const double deviceEvalNs = measureDeviceEvalNs(stages);
 
     const std::string name = "diode_rc_ladder_" + std::to_string(stages);
-    struct Row {
-      const char* backend;
-      const CircuitBackendResult* r;
-    };
-    for (const Row& row : {Row{"dense", &dense}, Row{"legacy", &legacy},
-                           Row{"sparse", &sparse}})
-      ct.addRow({name, std::to_string(unknowns), std::string(row.backend),
-                 u::fixed(row.r->wallNs * 1e-6, 2),
-                 std::to_string(row.r->newtonIterations),
-                 u::fixed(row.r->nsPerIteration(), 0),
-                 u::fixed(deviceEvalNs, 0),
-                 u::formatEngineering(row.r->maxAbsDiffVsDense, 2)});
+    ct.addRow({name, std::to_string(unknowns),
+               u::fixed(sparse.wallNs * 1e-6, 2),
+               std::to_string(sparse.newtonIterations),
+               u::fixed(sparse.nsPerIteration(), 0),
+               u::fixed(deviceEvalNs, 0),
+               u::fixed(solverOnly.speedupVsDense(), 1) + "x",
+               u::formatEngineering(sparse.maxAbsDiffVsDense, 2)});
 
     u::JsonValue c = u::JsonValue::object();
     c.set("name", name);
     c.set("stages", static_cast<double>(stages));
     c.set("unknowns", static_cast<double>(unknowns));
-    // Backend-independent: the same device list is evaluated whichever
-    // solver consumes the stamps.
     c.set("deviceEvalNs", deviceEvalNs);
     u::JsonValue backends = u::JsonValue::object();
-    backends.set("dense", backendJson(dense, false));
-    backends.set("legacy", backendJson(legacy, false));
-    backends.set("sparse", backendJson(sparse, true));
+    backends.set("sparse", circuitJson(sparse));
     c.set("backends", std::move(backends));
     u::JsonValue so = u::JsonValue::object();
     so.set("denseNs", solverOnly.denseNs);
-    so.set("legacyNs", solverOnly.legacyNs);
     so.set("sparseNs", solverOnly.sparseNs());
     so.set("nnz", static_cast<double>(solverOnly.nnz));
     so.set("nnzLU", static_cast<double>(solverOnly.nnzLU));
-    so.set("speedupVsLegacy",
-           solverOnly.sparseNs() > 0.0
-               ? solverOnly.legacyNs / solverOnly.sparseNs()
-               : 0.0);
-    so.set("ratioVsDense", solverOnly.denseNs > 0.0
-                               ? solverOnly.sparseNs() / solverOnly.denseNs
-                               : 0.0);
+    so.set("speedupVsDense", solverOnly.speedupVsDense());
     c.set("solverOnly", std::move(so));
     circuits.push(std::move(c));
   }

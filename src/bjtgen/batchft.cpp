@@ -52,6 +52,19 @@ BatchFtExtractor::BatchFtExtractor(std::vector<spice::BjtModel> cards,
   }
 }
 
+void BatchFtExtractor::absorbBatchStats() {
+  // Fold the batch's new counters into the AnalyzerStats view.
+  const sp::BatchStats& bs = batch_.stats();
+  sp::AnalyzerStats delta;
+  delta.newtonIterations = bs.newtonIterations - seen_.newtonIterations;
+  delta.matrixSolves = bs.matrixSolves - seen_.matrixSolves;
+  delta.sparsePatternInserts = bs.patternInserts - seen_.patternInserts;
+  delta.sparseFullFactors = bs.fullFactors - seen_.fullFactors;
+  delta.sparseRefactors = bs.refactors - seen_.refactors;
+  stats_ += delta;
+  seen_ = bs;
+}
+
 void BatchFtExtractor::setVbe(int r, double vbe) {
   vb_[static_cast<size_t>(r)]->setWaveform(
       std::make_unique<sp::DcWaveform>(vbe));
@@ -59,11 +72,7 @@ void BatchFtExtractor::setVbe(int r, double vbe) {
 
 std::vector<double> BatchFtExtractor::icAll() {
   const auto res = batch_.op();
-  // Fold the batch's new counters into the AnalyzerStats view.
-  const sp::BatchStats& bs = batch_.stats();
-  stats_.newtonIterations += bs.newtonIterations - seen_.newtonIterations;
-  stats_.matrixSolves += bs.matrixSolves - seen_.matrixSolves;
-  seen_ = bs;
+  absorbBatchStats();
   std::vector<double> ic(res.x.size());
   for (size_t r = 0; r < res.x.size(); ++r) {
     sp::Solution s(&res.x[r]);
@@ -132,10 +141,7 @@ std::vector<BatchFtPoint> BatchFtExtractor::measureAnalyticAt(double ic) {
   for (size_t r = 0; r < R; ++r)
     setVbe(static_cast<int>(r), out[r].ok ? vbe[r] : 0.3);
   const auto res = batch_.op();
-  const sp::BatchStats& bs = batch_.stats();
-  stats_.newtonIterations += bs.newtonIterations - seen_.newtonIterations;
-  stats_.matrixSolves += bs.matrixSolves - seen_.matrixSolves;
-  seen_ = bs;
+  absorbBatchStats();
   for (size_t r = 0; r < R; ++r) {
     if (!out[r].ok) continue;
     sp::Solution s(&res.x[r]);

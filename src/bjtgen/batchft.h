@@ -2,19 +2,20 @@
 // Batched analytic fT measurement across a block of model cards — the
 // Monte-Carlo data plane behind the runner's `mc-ft` workload.
 //
-// The scalar path (FtExtractor::measureAnalyticAt) builds a fresh bias
-// circuit and Analyzer for EVERY bisection evaluation: ~17 circuit
-// constructions, pattern primings and symbolic analyses per die. A
-// Monte-Carlo block perturbs only the model card — the topology is the
+// The scalar path (FtExtractor::measureAnalyticAt) builds one bias cell
+// and Analyzer per die and moves its base source between the ~17
+// bisection operating points; it still pays one circuit construction,
+// pattern priming and symbolic analysis per die. A Monte-Carlo block
+// perturbs only the model card — the topology is the
 // same two-source/one-transistor cell for every die — so all of that
 // structure work is shared here through spice::ReplicaBatch, and the
 // bisection runs in masked lockstep: one batched operating point per
 // bisection step solves every still-active die at its own trial Vbe.
 //
-// Bit-identity contract: with `opts.solver = SolverKind::kSparse`, entry
-// r of measureAnalyticAt(ic) is bit-identical (ft, vbe hex-float equal)
-// to `FtExtractor(cards[r], vce, opts).measureAnalyticAt(ic)`, because
-// ReplicaBatch::op() reproduces a fresh sparse Analyzer::op() bit-for-bit
+// Bit-identity contract: for the same options, entry r of
+// measureAnalyticAt(ic) is bit-identical (ft, vbe hex-float equal) to
+// `FtExtractor(cards[r], vce, opts).measureAnalyticAt(ic)`, because
+// ReplicaBatch::op() reproduces the default Analyzer::op() bit-for-bit
 // and the per-die bisection trajectory (lo/hi/mid sequence, convergence
 // test) is the scalar code's. A die whose bias bracket rejects the target
 // reports ok = false with the scalar error text instead of throwing, so
@@ -65,9 +66,9 @@ class BatchFtExtractor {
   /// Batch-engine counters since construction.
   const spice::BatchStats& batchStats() const { return batch_.stats(); }
 
-  /// Solver work in AnalyzerStats shape (newton iterations and matrix
-  /// solves summed over replicas) — the runner's manifest feed, matching
-  /// FtExtractor::solverStats().
+  /// Solver work in AnalyzerStats shape (Newton iterations, matrix
+  /// solves and factorization counters summed over replicas) — the
+  /// runner's manifest feed, matching FtExtractor::solverStats().
   const spice::AnalyzerStats& solverStats() const { return stats_; }
   void resetSolverStats() { stats_ = {}; }
 
@@ -75,6 +76,8 @@ class BatchFtExtractor {
   /// One batched operating point; returns per-die collector current
   /// (the -I(VC) readback of the scalar icAtVbe).
   std::vector<double> icAll();
+  /// Adds the batch counters accrued since the last call to stats_.
+  void absorbBatchStats();
   void setVbe(int r, double vbe);
 
   double vce_;

@@ -1,6 +1,9 @@
 #include "bjtgen/ft.h"
 
 #include <cmath>
+#include <memory>
+#include <optional>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -21,42 +24,52 @@ FtExtractor::FtExtractor(spice::BjtModel model, double vce,
   if (vce <= 0.0) throw Error("FtExtractor: vce must be > 0");
 }
 
-void FtExtractor::absorb(const spice::AnalyzerStats& s) const {
-  stats_.newtonIterations += s.newtonIterations;
-  stats_.matrixSolves += s.matrixSolves;
-  stats_.acceptedSteps += s.acceptedSteps;
-  stats_.rejectedSteps += s.rejectedSteps;
-  stats_.gminSteps += s.gminSteps;
-  stats_.sourceSteps += s.sourceSteps;
-}
+void FtExtractor::absorb(const spice::AnalyzerStats& s) const { stats_ += s; }
 
-namespace {
+/// Voltage-driven common-emitter bias cell: one circuit and one Analyzer
+/// for a whole measurement. The base source moves between operating
+/// points; Analyzer::op() starts every solve from a fresh factorization,
+/// so each point is bit-identical to a freshly built cell's.
+class FtExtractor::BiasCell {
+ public:
+  BiasCell(const spice::BjtModel& model, double vce,
+           const sp::AnalysisOptions& opts) {
+    const int c = ckt_.node("c"), b = ckt_.node("b");
+    vb_ = &ckt_.add<sp::VSource>("VB", b, 0, 0.0);
+    vc_ = &ckt_.add<sp::VSource>("VC", c, 0, vce);
+    q_ = &ckt_.add<sp::Bjt>("Q1", ckt_, c, b, 0, model);
+    an_.emplace(ckt_, opts);
+  }
+  // The analyzer and the source pointers refer into ckt_.
+  BiasCell(const BiasCell&) = delete;
+  BiasCell& operator=(const BiasCell&) = delete;
 
-/// Collector current of a voltage-driven common-emitter bias cell.
-double icAtVbe(const spice::BjtModel& model, double vbe, double vce,
-               const sp::AnalysisOptions& opts,
-               sp::AnalyzerStats* statsOut) {
-  sp::Circuit ckt;
-  const int c = ckt.node("c"), b = ckt.node("b");
-  ckt.add<sp::VSource>("VB", b, 0, vbe);
-  auto& vc = ckt.add<sp::VSource>("VC", c, 0, vce);
-  ckt.add<sp::Bjt>("Q1", ckt, c, b, 0, model);
-  sp::Analyzer an(ckt, opts);
-  const auto x = an.op();
-  if (statsOut != nullptr) *statsOut = an.stats();
-  sp::Solution s(&x);
-  return -s.at(vc.branchId());
-}
+  /// Operating point at base-emitter bias `vbe`.
+  void opAt(double vbe) {
+    vb_->setWaveform(std::make_unique<sp::DcWaveform>(vbe));
+    x_ = an_->op();
+  }
+  const sp::AnalyzerStats& stats() const { return an_->stats(); }
+  /// Collector and base currents at the last operating point.
+  double ic() const { return -sp::Solution(&x_).at(vc_->branchId()); }
+  double ib() const { return -sp::Solution(&x_).at(vb_->branchId()); }
+  double ft() const { return q_->opInfo(sp::Solution(&x_)).ft(); }
 
-}  // namespace
+ private:
+  sp::Circuit ckt_;
+  sp::VSource* vb_ = nullptr;
+  sp::VSource* vc_ = nullptr;
+  sp::Bjt* q_ = nullptr;
+  std::optional<sp::Analyzer> an_;
+  std::vector<double> x_;
+};
 
-double FtExtractor::solveBias(double icTarget) const {
+double FtExtractor::solveBias(BiasCell& cell, double icTarget) const {
   if (icTarget <= 0.0) throw Error("FtExtractor: ic must be > 0");
-  sp::AnalyzerStats st;
   auto icAt = [&](double vbe) {
-    const double ic = icAtVbe(model_, vbe, vce_, opts_, &st);
-    absorb(st);
-    return ic;
+    cell.opAt(vbe);
+    absorb(cell.stats());
+    return cell.ic();
   };
   double lo = 0.3, hi = 1.15;
   double iLo = icAt(lo);
@@ -83,26 +96,14 @@ FtPoint FtExtractor::measureAt(double ic) const {
 
   FtPoint pt;
   pt.ic = ic;
-  pt.vbe = solveBias(ic);
+  BiasCell cell(model_, vce_, opts_);
+  pt.vbe = solveBias(cell, ic);
 
   // Current-driven base reproducing the same operating point: ib from a
   // preliminary OP of the voltage-driven cell.
-  sp::Circuit vckt;
-  {
-    const int c = vckt.node("c"), b = vckt.node("b");
-    vckt.add<sp::VSource>("VB", b, 0, pt.vbe);
-    vckt.add<sp::VSource>("VC", c, 0, vce_);
-    vckt.add<sp::Bjt>("Q1", vckt, c, b, 0, model_);
-  }
-  double ib = 0.0;
-  {
-    sp::Analyzer an(vckt, opts_);
-    const auto x = an.op();
-    absorb(an.stats());
-    sp::Solution s(&x);
-    auto* vb = dynamic_cast<sp::VSource*>(vckt.findDevice("VB"));
-    ib = -s.at(vb->branchId());
-  }
+  cell.opAt(pt.vbe);
+  absorb(cell.stats());
+  const double ib = cell.ib();
   if (ib <= 0.0) throw Error("FtExtractor: non-positive base current");
 
   sp::Circuit ckt;
@@ -166,17 +167,11 @@ FtPoint FtExtractor::measureAnalyticAt(double ic) const {
 
   FtPoint pt;
   pt.ic = ic;
-  pt.vbe = solveBias(ic);
-  sp::Circuit ckt;
-  const int c = ckt.node("c"), b = ckt.node("b");
-  ckt.add<sp::VSource>("VB", b, 0, pt.vbe);
-  ckt.add<sp::VSource>("VC", c, 0, vce_);
-  auto& q = ckt.add<sp::Bjt>("Q1", ckt, c, b, 0, model_);
-  sp::Analyzer an(ckt, opts_);
-  const auto x = an.op();
-  absorb(an.stats());
-  sp::Solution s(&x);
-  pt.ft = q.opInfo(s).ft();
+  BiasCell cell(model_, vce_, opts_);
+  pt.vbe = solveBias(cell, ic);
+  cell.opAt(pt.vbe);
+  absorb(cell.stats());
+  pt.ft = cell.ft();
   return pt;
 }
 
@@ -189,7 +184,9 @@ std::vector<FtPoint> FtExtractor::sweep(
 }
 
 double FtExtractor::maxBiasCurrent() const {
-  return icAtVbe(model_, 1.15, vce_, opts_, nullptr);
+  BiasCell cell(model_, vce_, opts_);
+  cell.opAt(1.15);
+  return cell.ic();
 }
 
 FtPeak FtExtractor::findPeak(double icMin, double icMax, int points) const {

@@ -5,7 +5,6 @@
 
 #include "lint/modelcard.h"
 #include "obs/metrics.h"
-#include "spice/analysis.h"
 #include "spice/bjt.h"
 #include "spice/diode.h"
 #include "spice/mosfet.h"
@@ -298,23 +297,11 @@ LintReport lintDeck(const spice::Deck& deck) {
     report.info("NET_NO_ANALYSIS",
                 "the deck requests no analysis (.OP/.DC/.AC/.TRAN/.NOISE)");
 
-  // Backend-choice heads-up: past the dense threshold the auto heuristic
-  // silently switches to the sparse backend. That is almost always right,
-  // but an explicit `.OPTIONS SOLVER=...` makes benchmark decks and
-  // regression baselines self-documenting.
-  if (deck.solverOption.empty()) {
-    long unknowns = deck.circuit.nodeCount() - 1;
-    for (const auto& dev : deck.circuit.devices())
-      unknowns += dev->branchCount();
-    if (unknowns > spice::kDenseBackendMaxUnknowns)
-      report.info(
-          "NET_SOLVER_CHOICE",
-          "the deck has " + std::to_string(unknowns) +
-              " MNA unknowns (dense-backend threshold is " +
-              std::to_string(spice::kDenseBackendMaxUnknowns) +
-              ") and no explicit .OPTIONS SOLVER= choice; the auto "
-              "heuristic will pick the sparse backend");
-  }
+  if (!deck.solverOption.empty())
+    report.info("NET_SOLVER_OPTION_IGNORED",
+                "the .OPTIONS solver choice '" + deck.solverOption +
+                    "' is ignored: every analysis runs on the sparse LU "
+                    "backend");
   return report;
 }
 

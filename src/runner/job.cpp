@@ -24,14 +24,7 @@ bool JobResult::has(const std::string& name) const {
   return false;
 }
 
-void JobContext::noteStats(const spice::AnalyzerStats& s) {
-  stats.newtonIterations += s.newtonIterations;
-  stats.matrixSolves += s.matrixSolves;
-  stats.acceptedSteps += s.acceptedSteps;
-  stats.rejectedSteps += s.rejectedSteps;
-  stats.gminSteps += s.gminSteps;
-  stats.sourceSteps += s.sourceSteps;
-}
+void JobContext::noteStats(const spice::AnalyzerStats& s) { stats += s; }
 
 std::uint64_t deriveJobSeed(std::uint64_t baseSeed, std::uint64_t index) {
   std::uint64_t z = baseSeed + 0x9E3779B97F4A7C15ull * (index + 1);

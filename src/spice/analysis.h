@@ -26,20 +26,14 @@ namespace ahfic::spice {
 
 class ForensicsRecorder;
 
-/// Matrix backend for the MNA solves.
+/// Retired backend selector. Every analysis runs on the structure-caching
+/// CSR SparseLU (csr.h / sparse_lu.h); nothing reads this value. It stays
+/// only so callers that still pin `solver = SolverKind::kSparse` (the
+/// repository benchmark among them) keep compiling.
 enum class SolverKind {
-  kAuto,          ///< dense up to kDenseBackendMaxUnknowns, else kSparse
-  kDense,         ///< dense LU (the correctness oracle)
-  kSparseLegacy,  ///< row-list SparseMatrix::solveInPlace (ablation baseline)
-  kSparse,        ///< structure-caching CSR SparseLU (csr.h / sparse_lu.h)
+  kAuto,
+  kSparse,
 };
-
-/// Unknown count above which kAuto switches from dense to the
-/// structure-caching sparse backend. Dense LU is O(n^3) per iteration
-/// but has unbeatable constants on small systems; the crossover sits
-/// around a hundred unknowns on current hardware (see BENCH_solver.json
-/// for the measured trajectory).
-inline constexpr int kDenseBackendMaxUnknowns = 128;
 
 /// Tolerances and iteration limits. Defaults follow SPICE conventions.
 struct AnalysisOptions {
@@ -48,11 +42,8 @@ struct AnalysisOptions {
   double abstol = 1e-9;    ///< absolute branch-current tolerance [A]
   double gmin = 1e-12;     ///< junction shunt conductance [S]
   int maxNewtonIters = 100;
-  /// Backend selection. kAuto picks dense or sparse by unknown count;
-  /// the legacy `useSparse` flag (kept for existing call sites) maps to
-  /// kSparseLegacy when `solver` is left at kAuto.
+  /// Deprecated and ignored; see SolverKind.
   SolverKind solver = SolverKind::kAuto;
-  bool useSparse = false;  ///< legacy alias for solver = kSparseLegacy
   IntegMethod method = IntegMethod::kTrapezoidal;
   /// Damped-trapezoidal blend: 0 = pure trapezoidal (can sustain
   /// period-2 ringing on stiff switching circuits), 1 = backward Euler.
@@ -146,14 +137,29 @@ struct AnalyzerStats {
   long rejectedSteps = 0;
   long gminSteps = 0;
   long sourceSteps = 0;
-  /// kSparse backend only: positions added to the CSR pattern *after*
+  /// Positions added to the CSR pattern *after*
   /// the initial structural priming pass (published as
   /// `spice.sparse.pattern_inserts`). Steady-state Newton iteration
   /// performs none — a nonzero value means a device stamped a position
   /// the priming pass failed to predict.
   long sparsePatternInserts = 0;
-  long sparseFullFactors = 0;  ///< pivoting factorizations (kSparse)
+  long sparseFullFactors = 0;  ///< pivoting factorizations
   long sparseRefactors = 0;    ///< pattern-reusing refactorizations
+
+  /// Field-wise sum over all counters: how jobs and extractors fold the
+  /// windows of several analyses into one total.
+  AnalyzerStats& operator+=(const AnalyzerStats& o) {
+    newtonIterations += o.newtonIterations;
+    matrixSolves += o.matrixSolves;
+    acceptedSteps += o.acceptedSteps;
+    rejectedSteps += o.rejectedSteps;
+    gminSteps += o.gminSteps;
+    sourceSteps += o.sourceSteps;
+    sparsePatternInserts += o.sparsePatternInserts;
+    sparseFullFactors += o.sparseFullFactors;
+    sparseRefactors += o.sparseRefactors;
+    return *this;
+  }
 };
 
 /// Analysis driver bound to one Circuit. Building the unknown layout
@@ -169,7 +175,11 @@ class Analyzer {
 
   /// DC operating point. Tries plain Newton, then gmin stepping, then
   /// source stepping. Throws ahfic::ConvergenceError when all fail.
-  /// The result vector is indexed by (unknown id - 1).
+  /// The result vector is indexed by (unknown id - 1). Every call starts
+  /// from a fresh numeric factorization, so the result is bit-identical
+  /// to what a newly constructed Analyzer returns under the same source
+  /// values: callers may move sources with setWaveform between calls
+  /// and keep one Analyzer.
   std::vector<double> op();
 
   /// Sweeps the DC value of the named V or I source. Each point is a full
@@ -201,8 +211,6 @@ class Analyzer {
 
   const AnalyzerStats& stats() const { return stats_; }
   const AnalysisOptions& options() const { return opts_; }
-  /// Backend actually in use (kAuto/useSparse resolved at construction).
-  SolverKind solverKind() const { return solver_; }
   /// The convergence-forensics recorder, or nullptr when
   /// AnalysisOptions::forensics is off. Buffers cover the most recent
   /// stats window (reset with it).
@@ -224,42 +232,38 @@ class Analyzer {
   /// Called on successful completion only: work from an analysis that
   /// threw stays unpublished (the next resetStats discards it).
   void publishStats(const char* analysis);
-  void assemble(Stamper& s, const Solution& x, const LoadContext& ctx);
   /// One Newton solve at fixed context; x is both input guess and output.
   NewtonOutcome newton(std::vector<double>& x, LoadContext& ctx);
   NewtonOutcome newtonInner(std::vector<double>& x, LoadContext& ctx);
+  /// Assemble + factor + solve for one Newton iteration; false on a
+  /// singular system.
+  bool solveIteration(const Solution& x, const LoadContext& ctx,
+                      std::vector<double>& xNew);
   /// Shared AC sweep body; optionally opens a fresh stats window.
   AcResult acLinear(const std::vector<double>& frequencies,
                     const std::vector<double>& opSolution, bool freshWindow);
-  bool solveLinear(std::vector<double>& x);
   std::vector<double> opWithContext(LoadContext& ctx);
   /// Builds the "ahfic-diag-v1" report from the forensics buffers (when
   /// recording) and throws ConvergenceError carrying it.
   [[noreturn]] void throwConvergence(const char* stage, double stageValue,
                                      const std::string& message);
 
-  // kSparse backend (structure-caching CSR core).
-  /// Assemble + factor + solve for one Newton iteration; false on a
-  /// singular system.
-  bool sparseIterate(const Solution& x, const LoadContext& ctx,
-                     std::vector<double>& xNew);
   /// Rebuilds the cached static (linear-device) value baseline when the
   /// pattern epoch or the integrator coefficient changed.
-  void prepareSparseStatic(const Solution& x, const LoadContext& ctx);
+  void prepareStatic(const Solution& x, const LoadContext& ctx);
   /// Structural discovery: runs every device through a PatternStamper
   /// under DC and transient contexts and builds the real-path pattern.
-  void primeSparsePattern();
+  void primePattern();
   /// Folds `pending` positions into `pat` (counts pattern inserts).
-  void growSparsePattern(CsrPattern& pat,
-                         std::vector<std::pair<int, int>>& pending);
-  void primeAcSparsePattern(const Solution& op);
+  void growPattern(CsrPattern& pat,
+                   std::vector<std::pair<int, int>>& pending);
+  void primeAcPattern(const Solution& op);
   /// Assembles the complex system at `omega` and factors it; throws on
   /// singularity with `what` naming the analysis.
-  void acSparseFactor(const Solution& op, double omega, const char* what);
+  void acFactor(const Solution& op, double omega, const char* what);
 
   Circuit& ckt_;
   AnalysisOptions opts_;
-  SolverKind solver_ = SolverKind::kDense;  ///< resolved backend
   int unknownCount_ = 0;
   int stateCount_ = 0;
   AnalyzerStats stats_;
@@ -276,24 +280,18 @@ class Analyzer {
   /// (0 = none); resolved to a name by the report builder.
   int lastSingularUnknown_ = 0;
 
-  // Scratch for the real solves.
-  DenseMatrix<double> a_;
-  SparseMatrix<double> as_;
-  std::vector<double> rhs_;
-
-  // kSparse real path: pattern + slot-ordered values, the cached static
+  // Real path: pattern + slot-ordered values, the cached static
   // baseline stamped by linear devices, and the solver bound to the
   // pattern's current epoch.
   CsrPattern pat_;
   SparseLU<double> lu_;
-  std::vector<double> vals_, staticVals_, scratchRhs_;
+  std::vector<double> vals_, staticVals_, rhs_, scratchRhs_;
   std::vector<std::pair<int, int>> pending_;
-  bool patternPrimed_ = false;
   bool staticValid_ = false;
   std::uint64_t staticEpoch_ = 0;
   double staticC0_ = 0.0;
 
-  // kSparse complex path (AC/noise sweeps).
+  // Complex path (AC/noise sweeps).
   CsrPattern patAc_;
   SparseLU<std::complex<double>> luAc_;
   std::vector<std::complex<double>> valsAc_, rhsAc_;

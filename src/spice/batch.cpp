@@ -108,7 +108,7 @@ void ReplicaBatch::buildLayoutFor(Circuit& ckt, std::vector<Device*>& linear,
 
 void ReplicaBatch::primePatternFor(Circuit& ckt, CsrPattern& pat,
                                    int unknowns, int states) const {
-  // Mirrors Analyzer::primeSparsePattern: every device recorded under a
+  // Mirrors Analyzer::primePattern: every device recorded under a
   // DC and a transient context, so the pattern (and hence the symbolic
   // analysis and its pivot choices) is identical to the scalar path's.
   std::vector<std::pair<int, int>> entries;
@@ -137,8 +137,6 @@ ReplicaBatch::ReplicaBatch(std::vector<std::unique_ptr<Circuit>> replicas,
   if (circuits_.empty()) throw Error("ReplicaBatch: no replicas");
   if (opts_.analysis.forensics)
     throw Error("ReplicaBatch: convergence forensics is not supported");
-  opts_.analysis.solver = SolverKind::kSparse;
-  opts_.analysis.useSparse = false;
 
   const size_t R = circuits_.size();
   linearDevs_.resize(R);
@@ -302,7 +300,7 @@ void ReplicaBatch::buildPlans() {
 }
 
 void ReplicaBatch::computeStaticBaselines() {
-  // Mirrors Analyzer::prepareSparseStatic: linear-device matrix stamps
+  // Mirrors Analyzer::prepareStatic: linear-device matrix stamps
   // are candidate- and source-value-independent in DC, so one pass at
   // x = 0 per replica yields the baseline every Newton iteration
   // memcpy-restores. A pending (pattern-miss) position here would mean

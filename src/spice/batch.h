@@ -10,7 +10,7 @@
 // ReplicaBatch performs the structure work ONCE for the whole block and
 // keeps only the numbers per replica:
 //
-//   - one CsrPattern, primed exactly like Analyzer::primeSparsePattern
+//   - one CsrPattern, primed exactly like Analyzer::primePattern
 //     and structurally validated against every replica (a replica whose
 //     primed pattern differs is a topology-epoch mismatch and is
 //     rejected at construction);
@@ -36,9 +36,10 @@
 // then source stepping) — again the exact scalar path.
 //
 // Bit-identity contract: for identical circuits and options, every
-// solution ReplicaBatch::op() returns is bit-identical to what a fresh
-// `Analyzer(ckt, opts)` with `opts.solver = SolverKind::kSparse`
-// returns from op() on that replica's circuit. The equivalence suite
+// solution ReplicaBatch::op() returns is bit-identical to what the
+// default `Analyzer(ckt, opts)` returns from op() on that replica's
+// circuit — fresh or reused, since every Analyzer::op() starts from a
+// fresh numeric factorization. The equivalence suite
 // (tests/spice_batch_test.cpp) enforces this with hex-float compares.
 //
 // Limits (checked at construction): nonlinear devices must be Bjt or
@@ -75,7 +76,7 @@ struct BatchStats {
 class ReplicaBatch {
  public:
   struct Options {
-    AnalysisOptions analysis;  ///< tolerances; solver is forced to kSparse
+    AnalysisOptions analysis;  ///< tolerances and limits
     /// Ablation knob: discard the recorded pivot/fill sequence before
     /// every factorization so each Newton iteration pays a full
     /// pivoting factor. Timing-only — pivots may differ from the

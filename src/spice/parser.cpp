@@ -9,6 +9,7 @@
 #include "spice/mosfet.h"
 #include "spice/passive.h"
 #include "spice/sources.h"
+#include "util/error.h"
 #include "util/strings.h"
 #include "util/units.h"
 
@@ -717,23 +718,15 @@ class DeckParser {
       if (toks.size() < 2) throw ParseError(".TEMP needs a value", line);
       ckt_.setTemperatureC(num(toks[1], line, "temperature"));
     } else if (first == ".OPTIONS" || first == ".OPTION") {
-      // Only the solver backend choice is interpreted; other options are
-      // tolerated (real-world decks carry plenty of simulator-specific
-      // flags).
+      // Options are tolerated, not interpreted (real-world decks carry
+      // plenty of simulator-specific flags). A retired solver-backend
+      // choice is remembered only so lint can say it is ignored.
       for (size_t k = 1; k < toks.size(); ++k) {
         const std::string up = util::toUpper(toks[k]);
-        if (up == "SPARSE") {
-          solverOption_ = "sparse";
-        } else if (up == "DENSE") {
-          solverOption_ = "dense";
-        } else if (up.rfind("SOLVER=", 0) == 0) {
-          const std::string v = util::toLower(up.substr(7));
-          if (v != "auto" && v != "dense" && v != "sparse" && v != "legacy")
-            throw ParseError("unknown SOLVER choice '" + v +
-                                 "' (auto/dense/sparse/legacy)",
-                             line);
-          solverOption_ = v;
-        }
+        if (up == "SPARSE" || up == "DENSE")
+          solverOption_ = util::toLower(up);
+        else if (up.rfind("SOLVER=", 0) == 0)
+          solverOption_ = util::toLower(up.substr(7));
       }
     } else {
       throw ParseError("unsupported card '" + first + "'", line);

@@ -78,11 +78,10 @@ struct Deck {
   std::string title;
   Circuit circuit;
   std::vector<AnalysisRequest> analyses;
-  /// Solver-backend request from a `.OPTIONS` card: "dense", "sparse",
-  /// "legacy" or "auto"; empty when the deck leaves the choice to the
-  /// engine's size heuristic. Kept as a string so the parser stays
-  /// independent of the analysis layer (rundeck maps it to SolverKind;
-  /// lint checks only whether it was explicit).
+  /// Solver-backend request from a `.OPTIONS` card (`SOLVER=<x>`, or a
+  /// bare `SPARSE`/`DENSE`), lower-cased; empty when the deck has none.
+  /// The engine has a single backend, so the choice is ignored; it is
+  /// kept only so lint can report that (NET_SOLVER_OPTION_IGNORED).
   std::string solverOption;
 };
 

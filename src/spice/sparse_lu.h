@@ -28,16 +28,21 @@
 // DC/transient (double) and AC/noise (std::complex<double>).
 
 #include <algorithm>
+#include <cmath>
+#include <complex>
 #include <cstdint>
 #include <iterator>
 #include <utility>
 #include <vector>
 
 #include "spice/csr.h"
-#include "spice/linalg.h"  // pivotMag
 #include "util/error.h"
 
 namespace ahfic::spice {
+
+/// Magnitude used for pivoting: |x| for real, abs for complex.
+inline double pivotMag(double x) { return std::fabs(x); }
+inline double pivotMag(const std::complex<double>& x) { return std::abs(x); }
 
 template <typename T>
 class SparseLU {

@@ -2,10 +2,11 @@
 // Stamping interfaces through which devices contribute to the MNA system.
 //
 // `Stamper` (real, DC/transient) and `AcStamper` (complex, AC) hide the
-// matrix backend (dense or sparse) and perform the unknown-id -> row
-// mapping, dropping any contribution that involves ground (id 0).
+// stamp target (the CSR value array, a pattern recorder, an RHS-only
+// pass) and perform the unknown-id -> row mapping, dropping any
+// contribution that involves ground (id 0).
 //
-// The CSR backend adds a slot protocol on top: a stamper bound to a
+// CSR targets add a slot protocol on top: a stamper bound to a
 // CsrPattern exposes patternEpoch()/locateA()/addAt(), and devices wrap
 // whatever stamper they are handed in a SlotWriter that memoizes the
 // slot of every matrix position they touch (see StampMemo). After the
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "spice/csr.h"
-#include "spice/linalg.h"
 
 namespace ahfic::spice {
 
@@ -50,7 +50,7 @@ class Stamper {
   virtual void addRhs(int idRow, double v) = 0;
 
   /// Epoch of the CSR pattern this stamper writes through, or 0 when the
-  /// backend has no stable slot addressing (dense, pattern discovery).
+  /// target has no stable slot addressing (pattern discovery, RHS-only).
   virtual std::uint64_t patternEpoch() const { return 0; }
   /// Slot for (idRow, idCol): a value-array index, kStampSlotGround, or
   /// kStampSlotMiss. Only meaningful when patternEpoch() != 0.
@@ -129,58 +129,6 @@ class AcStamper {
     addA(b, cp, -y);
     addA(b, cn, y);
   }
-};
-
-/// Dense-backed real stamper.
-class DenseStamper final : public Stamper {
- public:
-  DenseStamper(DenseMatrix<double>& a, std::vector<double>& rhs)
-      : a_(a), rhs_(rhs) {}
-  void addA(int r, int c, double v) override {
-    if (r > 0 && c > 0) a_.at(r - 1, c - 1) += v;
-  }
-  void addRhs(int r, double v) override {
-    if (r > 0) rhs_[static_cast<size_t>(r - 1)] += v;
-  }
-
- private:
-  DenseMatrix<double>& a_;
-  std::vector<double>& rhs_;
-};
-
-/// Sparse-backed real stamper.
-class SparseStamper final : public Stamper {
- public:
-  SparseStamper(SparseMatrix<double>& a, std::vector<double>& rhs)
-      : a_(a), rhs_(rhs) {}
-  void addA(int r, int c, double v) override {
-    if (r > 0 && c > 0) a_.add(r - 1, c - 1, v);
-  }
-  void addRhs(int r, double v) override {
-    if (r > 0) rhs_[static_cast<size_t>(r - 1)] += v;
-  }
-
- private:
-  SparseMatrix<double>& a_;
-  std::vector<double>& rhs_;
-};
-
-/// Dense-backed complex stamper for AC.
-class DenseAcStamper final : public AcStamper {
- public:
-  DenseAcStamper(DenseMatrix<std::complex<double>>& a,
-                 std::vector<std::complex<double>>& rhs)
-      : a_(a), rhs_(rhs) {}
-  void addA(int r, int c, std::complex<double> v) override {
-    if (r > 0 && c > 0) a_.at(r - 1, c - 1) += v;
-  }
-  void addRhs(int r, std::complex<double> v) override {
-    if (r > 0) rhs_[static_cast<size_t>(r - 1)] += v;
-  }
-
- private:
-  DenseMatrix<std::complex<double>>& a_;
-  std::vector<std::complex<double>>& rhs_;
 };
 
 /// CSR-backed stamper (real or complex): values land in a slot-ordered

@@ -222,7 +222,7 @@ RL c1 0 10k
   EXPECT_FALSE(r.hasErrors()) << r.renderText();
 }
 
-TEST(LintNetlist, LargeDeckWithoutSolverChoiceGetsInfo) {
+TEST(LintNetlist, SolverOptionIsIgnoredWithInfo) {
   std::string body = "big ladder\nV1 n0 0 DC 1\n";
   for (int k = 0; k < 150; ++k) {
     body += "R" + std::to_string(k) + " n" + std::to_string(k) + " n" +
@@ -230,12 +230,15 @@ TEST(LintNetlist, LargeDeckWithoutSolverChoiceGetsInfo) {
     body += "C" + std::to_string(k) + " n" + std::to_string(k + 1) +
             " 0 1p\n";
   }
-  const auto noisy = lintText((body + ".OP\n.END\n").c_str());
-  ASSERT_TRUE(noisy.hasCode("NET_SOLVER_CHOICE")) << noisy.renderText();
+  // A deck without a backend choice gets no diagnostic, whatever its size.
+  const auto quiet = lintText((body + ".OP\n.END\n").c_str());
+  EXPECT_FALSE(quiet.hasCode("NET_SOLVER_OPTION_IGNORED"))
+      << quiet.renderText();
+  // A backend choice still parses, and lint says it is ignored.
+  const auto noisy =
+      lintText((body + ".OPTIONS SOLVER=dense\n.OP\n.END\n").c_str());
+  ASSERT_TRUE(noisy.hasCode("NET_SOLVER_OPTION_IGNORED"))
+      << noisy.renderText();
   // Informational only — never gates.
   EXPECT_FALSE(noisy.hasErrors());
-  // An explicit choice silences it.
-  const auto quiet =
-      lintText((body + ".OPTIONS SOLVER=sparse\n.OP\n.END\n").c_str());
-  EXPECT_FALSE(quiet.hasCode("NET_SOLVER_CHOICE")) << quiet.renderText();
 }

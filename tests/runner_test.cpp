@@ -13,6 +13,7 @@
 #include "bjtgen/montecarlo.h"
 #include "runner/engine.h"
 #include "runner/workloads.h"
+#include "spice/analysis.h"
 #include "spice/bjt.h"
 #include "spice/circuit.h"
 #include "spice/sources.h"
@@ -99,6 +100,46 @@ TEST(RunnerDeterminism, Fig9SweepIdenticalAcrossThreadCounts) {
   // Spot-check physics: fT at 2 mA is in the GHz range for every shape.
   for (size_t s = 0; s < bg::fig9Shapes().size(); ++s)
     EXPECT_GT(serial.outcomes[s * 3 + 1].result.get("ft"), 1e9);
+}
+
+TEST(RunnerStats, JobContextKeepsSparseFactorCounters) {
+  // Every AnalyzerStats field survives the fold into JobContext: both
+  // through FtExtractor (an analytic-fT Monte-Carlo die) and through a
+  // job noting an Analyzer's stats directly.
+  std::vector<rn::Job> jobs = mcJobs(1);
+  rn::Job deck;
+  deck.key = "bias-op";
+  deck.run = [](rn::JobContext& ctx) {
+    sp::Circuit ckt;
+    const int c = ckt.node("c"), b = ckt.node("b");
+    ckt.add<sp::VSource>("VB", b, 0, 0.85);
+    ckt.add<sp::VSource>("VC", c, 0, 2.0);
+    ckt.add<sp::Bjt>("Q1", ckt, c, b, 0, sp::BjtModel{});
+    sp::Analyzer an(ckt, ctx.options);
+    an.op();
+    ctx.noteStats(an.stats());
+    return rn::JobResult{};
+  };
+  jobs.push_back(deck);
+
+  std::vector<sp::AnalyzerStats> seen(jobs.size());
+  for (size_t k = 0; k < jobs.size(); ++k) {
+    auto inner = jobs[k].run;
+    jobs[k].run = [inner, &seen, k](rn::JobContext& ctx) {
+      rn::JobResult r = inner(ctx);
+      seen[k] = ctx.stats;
+      return r;
+    };
+  }
+  const auto batch = runWithThreads(jobs, 1);
+  for (size_t k = 0; k < jobs.size(); ++k) {
+    SCOPED_TRACE(jobs[k].key);
+    ASSERT_TRUE(batch.outcomes[k].ok());
+    EXPECT_GT(seen[k].newtonIterations, 0);
+    EXPECT_GT(seen[k].sparseFullFactors, 0);
+    EXPECT_GT(seen[k].sparseRefactors, 0);
+    EXPECT_EQ(seen[k].sparsePatternInserts, 0);
+  }
 }
 
 TEST(RunnerRetry, HardOpRecoversOnLadderAndFailureStaysContained) {

@@ -1,9 +1,14 @@
 // Analysis-engine robustness: statistics, integration methods, sparse
-// backend on nonlinear circuits, grids, and failure modes.
+// backend on nonlinear circuits against the dense oracle, analyzer reuse,
+// grids, and failure modes.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "spice/analysis.h"
 #include "spice/bjt.h"
@@ -11,9 +16,11 @@
 #include "spice/diode.h"
 #include "spice/passive.h"
 #include "spice/sources.h"
+#include "support/dense_oracle.h"
 #include "util/error.h"
 
 namespace sp = ahfic::spice;
+namespace oracle = ahfic::oracle;
 
 TEST(AnalysisGrids, LogspaceProperties) {
   const auto f = sp::logspace(1e3, 1e6, 10);
@@ -190,14 +197,53 @@ TEST(AnalysisBackend, SparseMatchesDenseOnNonlinearCircuit) {
   sp::Circuit c1, c2;
   build(c1);
   build(c2);
-  sp::AnalysisOptions dense, sparse;
-  sparse.useSparse = true;
-  sp::Analyzer ad(c1, dense), as(c2, sparse);
-  const auto xd = ad.op();
+  const auto xd = oracle::DenseEngine(c1).op();
+  sp::Analyzer as(c2);
   const auto xs = as.op();
   ASSERT_EQ(xd.size(), xs.size());
   for (size_t i = 0; i < xd.size(); ++i)
     EXPECT_NEAR(xd[i], xs[i], 1e-6) << i;
+}
+
+TEST(Analyzer, RepeatedOpMatchesFreshAnalyzer) {
+  // One analyzer, a source moved between op() calls: every result must
+  // equal, bit for bit, what a newly built analyzer returns at that
+  // source value (op() starts from a fresh factorization each call).
+  auto build = [](sp::Circuit& ckt, double vb) {
+    sp::BjtModel m;
+    m.is = 1e-16;
+    m.bf = 100.0;
+    m.rb = 150.0;
+    m.cje = 1e-13;
+    const int b = ckt.node("b"), c = ckt.node("c");
+    ckt.add<sp::VSource>("VB", b, 0, vb);
+    ckt.add<sp::VSource>("VC", c, 0, 2.0);
+    ckt.add<sp::Bjt>("Q1", ckt, c, b, 0, m);
+  };
+  auto hex = [](const std::vector<double>& x) {
+    std::string out;
+    char buf[40];
+    for (double v : x) {
+      std::snprintf(buf, sizeof buf, "%a ", v);
+      out += buf;
+    }
+    return out;
+  };
+  sp::Circuit reused;
+  build(reused, 0.3);
+  sp::Analyzer an(reused);
+  auto* vb = dynamic_cast<sp::VSource*>(reused.findDevice("VB"));
+  ASSERT_NE(vb, nullptr);
+  for (double v : {0.3, 0.85, 0.7, 1.15, 0.775}) {
+    vb->setWaveform(std::make_unique<sp::DcWaveform>(v));
+    const auto x = an.op();
+    sp::Circuit fresh;
+    build(fresh, v);
+    sp::Analyzer ref(fresh);
+    EXPECT_EQ(hex(x), hex(ref.op())) << "vb=" << v;
+    EXPECT_EQ(an.stats().newtonIterations, ref.stats().newtonIterations);
+    EXPECT_EQ(an.stats().sparseFullFactors, ref.stats().sparseFullFactors);
+  }
 }
 
 TEST(AnalysisIntegration, BackwardEulerConvergesToSameSteadyState) {

@@ -51,12 +51,6 @@ void expectBitIdentical(const std::vector<double>& scalar,
         << what << " unknown " << i + 1;
 }
 
-sp::AnalysisOptions sparseOpts() {
-  sp::AnalysisOptions opts;
-  opts.solver = sp::SolverKind::kSparse;
-  return opts;
-}
-
 /// The scalar icAtVbe bias cell from bjtgen/ft.cpp.
 std::unique_ptr<sp::Circuit> biasCell(const sp::BjtModel& card, double vbe,
                                       double vce) {
@@ -101,9 +95,7 @@ TEST(ReplicaBatchTest, BitIdenticalToScalarSparseAnalyzerOnBjtCells) {
 
   std::vector<std::unique_ptr<sp::Circuit>> replicas;
   for (const auto& card : cards) replicas.push_back(biasCell(card, 0.0, vce));
-  sp::ReplicaBatch::Options bo;
-  bo.analysis = sparseOpts();
-  sp::ReplicaBatch batch(std::move(replicas), bo);
+  sp::ReplicaBatch batch(std::move(replicas));
 
   for (const double vbe : vbes) {
     for (int r = 0; r < batch.replicaCount(); ++r) {
@@ -114,7 +106,7 @@ TEST(ReplicaBatchTest, BitIdenticalToScalarSparseAnalyzerOnBjtCells) {
     const auto res = batch.op();
     for (int r = 0; r < batch.replicaCount(); ++r) {
       auto scalarCkt = biasCell(cards[static_cast<size_t>(r)], vbe, vce);
-      sp::Analyzer an(*scalarCkt, sparseOpts());
+      sp::Analyzer an(*scalarCkt);
       const auto xs = an.op();
       expectBitIdentical(xs, res.x[static_cast<size_t>(r)],
                          "vbe=" + hexFloat(vbe) + " replica " +
@@ -144,13 +136,11 @@ TEST(ReplicaBatchTest, BitIdenticalOnDiodeCells) {
     models.push_back(m);
     replicas.push_back(diodeCell(m, 2.5));
   }
-  sp::ReplicaBatch::Options bo;
-  bo.analysis = sparseOpts();
-  sp::ReplicaBatch batch(std::move(replicas), bo);
+  sp::ReplicaBatch batch(std::move(replicas));
   const auto res = batch.op();
   for (int r = 0; r < batch.replicaCount(); ++r) {
     auto scalarCkt = diodeCell(models[static_cast<size_t>(r)], 2.5);
-    sp::Analyzer an(*scalarCkt, sparseOpts());
+    sp::Analyzer an(*scalarCkt);
     expectBitIdentical(an.op(), res.x[static_cast<size_t>(r)],
                        "diode replica " + std::to_string(r));
   }
@@ -161,7 +151,7 @@ TEST(ReplicaBatchTest, IterationStarvedReplicaFallsBackBitIdentically) {
   // scalar Analyzer escalates to gmin stepping inside op(), and the batch
   // falls back to exactly that Analyzer — results must still match bits.
   const auto cards = perturbedCards(4, 77);
-  sp::AnalysisOptions opts = sparseOpts();
+  sp::AnalysisOptions opts;
   opts.maxNewtonIters = 8;  // plain Newton needs ~16 from x = 0 here
 
   std::vector<std::unique_ptr<sp::Circuit>> replicas;
@@ -196,9 +186,7 @@ TEST(ReplicaBatchTest, RejectsTopologyMismatch) {
   }
   EXPECT_THROW(
       {
-        sp::ReplicaBatch::Options bo;
-        bo.analysis = sparseOpts();
-        sp::ReplicaBatch batch(std::move(replicas), bo);
+        sp::ReplicaBatch batch(std::move(replicas));
       },
       ahfic::Error);
 }
@@ -213,9 +201,7 @@ TEST(ReplicaBatchTest, RejectsUnsupportedNonlinearDevice) {
     ckt->add<sp::Mosfet>("M1", *ckt, d, g, 0, 0, sp::MosModel{});
     replicas.push_back(std::move(ckt));
   }
-  sp::ReplicaBatch::Options bo;
-  bo.analysis = sparseOpts();
-  EXPECT_THROW(sp::ReplicaBatch(std::move(replicas), bo), ahfic::Error);
+  EXPECT_THROW(sp::ReplicaBatch{std::move(replicas)}, ahfic::Error);
 }
 
 TEST(SparseLuBatchTest, PivotCollapseReplayFallsBackToFullFactor) {
@@ -252,11 +238,11 @@ TEST(SparseLuBatchTest, PivotCollapseReplayFallsBackToFullFactor) {
 TEST(BatchFtExtractorTest, BitIdenticalToScalarFtExtractor) {
   const auto cards = perturbedCards(6, 424242);
   const double ic = 1e-3;
-  bg::BatchFtExtractor bx(cards, 2.0, sparseOpts());
+  bg::BatchFtExtractor bx(cards, 2.0);
   const auto batched = bx.measureAnalyticAt(ic);
   ASSERT_EQ(batched.size(), cards.size());
   for (size_t r = 0; r < cards.size(); ++r) {
-    const bg::FtExtractor fx(cards[r], 2.0, sparseOpts());
+    const bg::FtExtractor fx(cards[r], 2.0);
     const auto scalar = fx.measureAnalyticAt(ic);
     ASSERT_TRUE(batched[r].ok) << batched[r].error;
     EXPECT_EQ(hexFloat(scalar.vbe), hexFloat(batched[r].point.vbe))
@@ -268,7 +254,7 @@ TEST(BatchFtExtractorTest, BitIdenticalToScalarFtExtractor) {
 
 TEST(BatchFtExtractorTest, OutOfRangeDieReportsScalarErrorWithoutThrowing) {
   const auto cards = perturbedCards(3, 9);
-  bg::BatchFtExtractor bx(cards, 2.0, sparseOpts());
+  bg::BatchFtExtractor bx(cards, 2.0);
   const auto res = bx.measureAnalyticAt(1e3);  // far beyond any bias cell
   for (const auto& die : res) {
     EXPECT_FALSE(die.ok);

@@ -1,5 +1,6 @@
 // Analytic checks of the MNA engine on linear circuits: dividers,
-// controlled sources, RC/RL transients, RLC resonance, dense vs sparse.
+// controlled sources, RC/RL transients, RLC resonance, sparse engine vs
+// the dense oracle.
 
 #include <gtest/gtest.h>
 
@@ -9,10 +10,12 @@
 #include "spice/circuit.h"
 #include "spice/passive.h"
 #include "spice/sources.h"
+#include "support/dense_oracle.h"
 #include "util/numeric.h"
 #include "util/units.h"
 
 namespace sp = ahfic::spice;
+namespace oracle = ahfic::oracle;
 namespace u = ahfic::util;
 using u::constants::kTwoPi;
 
@@ -143,11 +146,8 @@ TEST(LinearDc, SparseBackendMatchesDense) {
     ckt.add<sp::Resistor>("Rg" + std::to_string(k), next, 0, 1e3);
     prev = next;
   }
-  sp::AnalysisOptions dense, sparse;
-  sparse.useSparse = true;
-  sp::Analyzer anD(ckt, dense);
-  const auto xd = anD.op();
-  sp::Analyzer anS(ckt, sparse);
+  const auto xd = oracle::DenseEngine(ckt).op();
+  sp::Analyzer anS(ckt);
   const auto xs = anS.op();
   ASSERT_EQ(xd.size(), xs.size());
   for (size_t i = 0; i < xd.size(); ++i) EXPECT_NEAR(xd[i], xs[i], 1e-9);

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
 
 #include "spice/analysis.h"
 #include "spice/bjt.h"
 #include "spice/parser.h"
 #include "spice/passive.h"
+#include "spice/rundeck.h"
 #include "spice/sources.h"
 #include "util/error.h"
 
@@ -266,7 +269,14 @@ TEST(ParserOptions, SolverChoiceReachesTheDeck) {
   EXPECT_EQ(deck.solverOption, "dense");
   deck = sp::parseDeck("opts\nR1 in 0 1k\nV1 in 0 1\n.OP\n.END\n");
   EXPECT_TRUE(deck.solverOption.empty());
-  EXPECT_THROW(
-      sp::parseDeck("opts\nR1 in 0 1k\n.OPTIONS SOLVER=magic\n.END\n"),
-      ahfic::ParseError);
+  // The engine has one backend, so any choice is an accepted no-op:
+  // old decks, retired spellings included, still parse and run.
+  for (const char* choice : {"legacy", "auto", "magic"}) {
+    deck = sp::parseDeck(std::string("opts\nR1 in 0 1k\nV1 in 0 1\n"
+                                     ".OPTIONS SOLVER=") +
+                         choice + "\n.OP\n.END\n");
+    EXPECT_EQ(deck.solverOption, choice);
+    std::ostringstream listing;
+    EXPECT_NO_THROW(sp::runDeck(deck, listing)) << choice;
+  }
 }

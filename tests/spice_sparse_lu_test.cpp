@@ -14,13 +14,14 @@
 #include "spice/circuit.h"
 #include "spice/csr.h"
 #include "spice/diode.h"
-#include "spice/linalg.h"
 #include "spice/passive.h"
 #include "spice/sources.h"
+#include "support/dense_oracle.h"
 #include "util/numeric.h"
 
 namespace sp = ahfic::spice;
 namespace obs = ahfic::obs;
+namespace oracle = ahfic::oracle;
 namespace u = ahfic::util;
 
 namespace {
@@ -71,9 +72,9 @@ void fillValues(const sp::CsrPattern& pat, std::vector<T>& vals,
 
 /// Dense mirror of (pattern, values) for the oracle solve.
 template <typename T>
-sp::DenseMatrix<T> toDense(const sp::CsrPattern& pat,
+oracle::DenseMatrix<T> toDense(const sp::CsrPattern& pat,
                            const std::vector<T>& vals) {
-  sp::DenseMatrix<T> a(pat.size(), pat.size());
+  oracle::DenseMatrix<T> a(pat.size(), pat.size());
   for (int r = 0; r < pat.size(); ++r)
     for (int p = pat.rowPtr()[static_cast<size_t>(r)];
          p < pat.rowPtr()[static_cast<size_t>(r) + 1]; ++p)
@@ -89,8 +90,8 @@ std::vector<T> randomRhs(int n, u::Rng& rng) {
   return b;
 }
 
-/// Diode-RC ladder shared by the dense-vs-sparse equivalence tests; the
-/// diodes keep the system nonlinear so Newton actually iterates.
+/// Diode-RC ladder shared by the backend and oracle tests; the diodes
+/// keep the system nonlinear so Newton actually iterates.
 void buildLadder(sp::Circuit& ckt, int stages) {
   const int in = ckt.node("in");
   ckt.add<sp::VSource>("V1", in, 0,
@@ -129,7 +130,7 @@ TEST(SparseLu, MatchesDenseOnRandomRealSystems) {
       std::vector<double> x;
       lu.solve(b, x);
 
-      const auto xd = sp::solveDense(toDense(pat, vals), b);
+      const auto xd = oracle::solveDense(toDense(pat, vals), b);
       for (int i = 0; i < n; ++i)
         EXPECT_NEAR(x[static_cast<size_t>(i)], xd[static_cast<size_t>(i)],
                     1e-10)
@@ -153,7 +154,7 @@ TEST(SparseLu, MatchesDenseOnRandomComplexSystems) {
     std::vector<C> x;
     lu.solve(b, x);
 
-    const auto xd = sp::solveDense(toDense(pat, vals), b);
+    const auto xd = oracle::solveDense(toDense(pat, vals), b);
     for (int i = 0; i < n; ++i)
       EXPECT_LT(std::abs(x[static_cast<size_t>(i)] -
                          xd[static_cast<size_t>(i)]),
@@ -210,7 +211,7 @@ TEST(SparseLu, RefactorReusesPatternAcrossValueChanges) {
     const auto b = randomRhs<double>(n, rng);
     std::vector<double> x;
     lu.solve(b, x);
-    const auto xd = sp::solveDense(toDense(pat, vals), b);
+    const auto xd = oracle::solveDense(toDense(pat, vals), b);
     for (int i = 0; i < n; ++i)
       EXPECT_NEAR(x[static_cast<size_t>(i)], xd[static_cast<size_t>(i)],
                   1e-10)
@@ -256,81 +257,91 @@ TEST(SparseLu, ThrowsWhenFactoredBeforeAnalyze) {
 }
 
 TEST(SparseBackend, AutoSelectsByUnknownCount) {
-  {
-    sp::Circuit small;
-    buildLadder(small, 5);
-    sp::Analyzer an(small);
-    EXPECT_EQ(an.solverKind(), sp::SolverKind::kDense);
-  }
-  {
-    sp::Circuit big;
-    buildLadder(big, sp::kDenseBackendMaxUnknowns + 20);
-    sp::Analyzer an(big);
-    EXPECT_EQ(an.solverKind(), sp::SolverKind::kSparse);
-  }
-  {
-    // The legacy flag keeps its meaning for existing call sites.
-    sp::Circuit small;
-    buildLadder(small, 5);
-    sp::AnalysisOptions opts;
-    opts.useSparse = true;
-    sp::Analyzer an(small, opts);
-    EXPECT_EQ(an.solverKind(), sp::SolverKind::kSparseLegacy);
-  }
-  {
-    // An explicit choice beats both the heuristic and the legacy flag.
-    sp::Circuit small;
-    buildLadder(small, 5);
-    sp::AnalysisOptions opts;
-    opts.solver = sp::SolverKind::kSparse;
-    sp::Analyzer an(small, opts);
-    EXPECT_EQ(an.solverKind(), sp::SolverKind::kSparse);
+  // Even a 7-unknown circuit runs every analysis on the CSR SparseLU, so
+  // each entry point's stats window (on a fresh analyzer) reports a
+  // pivoting factorization.
+  const auto freqs = sp::logspace(1e3, 1e9, 2);
+  for (const std::string analysis : {"op", "dc", "tran", "ac", "noise"}) {
+    sp::Circuit ckt;
+    buildLadder(ckt, 3);
+    const int out = ckt.node("out");
+    ckt.add<sp::Resistor>("Rload", ckt.findNode("n2"), out, 1e3);
+    ckt.add<sp::Capacitor>("Cload", out, 0, 1e-12);
+    sp::Analyzer an(ckt);
+    ASSERT_EQ(an.unknownCount(), 7);
+    if (analysis == "op") {
+      an.op();
+    } else if (analysis == "dc") {
+      an.dcSweep("V1", 0.0, 1.0, 0.5);
+    } else if (analysis == "tran") {
+      an.transient(2e-7, 1e-8);
+    } else {
+      const auto x = an.op();
+      if (analysis == "ac")
+        an.ac(freqs, x);
+      else
+        an.noise(freqs, "out", x);
+    }
+    EXPECT_GT(an.stats().sparseFullFactors, 0) << analysis;
   }
 }
 
 TEST(SparseBackend, MatchesDenseAcrossAnalyses) {
+  // The sparse engine against the dense-LU oracle engine on twin
+  // circuits: same Newton formulation, independent linear algebra.
   sp::Circuit cd, cs;
   buildLadder(cd, 40);
   buildLadder(cs, 40);
-  sp::AnalysisOptions od, os;
-  od.solver = sp::SolverKind::kDense;
-  os.solver = sp::SolverKind::kSparse;
-  sp::Analyzer ad(cd, od), as(cs, os);
-  ASSERT_EQ(as.solverKind(), sp::SolverKind::kSparse);
+  oracle::DenseEngine dense(cd);
+  sp::Analyzer as(cs);
 
   // Operating point.
-  const auto xd = ad.op();
+  const auto xd = dense.op();
   const auto xs = as.op();
   ASSERT_EQ(xd.size(), xs.size());
   for (size_t i = 0; i < xd.size(); ++i)
     EXPECT_NEAR(xs[i], xd[i], 1e-9) << "op unknown " << i;
   EXPECT_GT(as.stats().sparseRefactors, 0);
 
-  // Transient: both backends must accept the same points and agree.
-  const auto td = ad.transient(5e-7, 1e-8);
+  // Transient: the oracle replays the sparse run's accepted time points.
   const auto ts = as.transient(5e-7, 1e-8);
-  ASSERT_EQ(td.time.size(), ts.time.size());
-  for (size_t k = 0; k < td.time.size(); ++k)
-    for (size_t i = 0; i < td.values[k].size(); ++i)
-      EXPECT_NEAR(ts.values[k][i], td.values[k][i], 1e-8)
+  const auto td = dense.transient(ts.time);
+  ASSERT_EQ(td.size(), ts.values.size());
+  for (size_t k = 0; k < td.size(); ++k)
+    for (size_t i = 0; i < td[k].size(); ++i)
+      EXPECT_NEAR(ts.values[k][i], td[k][i], 1e-8)
           << "tran point " << k << " unknown " << i;
 
   // AC sweep (complex path).
   const auto freqs = sp::logspace(1e3, 1e9, 4);
-  const auto fd = ad.ac(freqs, xd);
   const auto fs = as.ac(freqs, xs);
-  for (size_t k = 0; k < fd.values.size(); ++k)
-    for (size_t i = 0; i < fd.values[k].size(); ++i)
-      EXPECT_LT(std::abs(fs.values[k][i] - fd.values[k][i]), 1e-9)
+  for (size_t k = 0; k < freqs.size(); ++k) {
+    const auto fd = dense.ac(xd, freqs[k]);
+    for (size_t i = 0; i < fd.size(); ++i)
+      EXPECT_LT(std::abs(fs.values[k][i] - fd[i]), 1e-9)
           << "ac point " << k << " unknown " << i;
+  }
 
-  // Noise (many solves per factorization).
-  const auto nd = ad.noise(freqs, "n1", xd);
+  // Noise (many solves per factorization): output PSD from the oracle's
+  // transfer impedance of every device noise source.
+  const int outNode = cd.findNode("n1");
+  const sp::Solution sop(&xd);
+  std::vector<sp::NoiseSourceDesc> sources;
+  for (const auto& dev : cd.devices())
+    dev->appendNoise(sources, sop, cd.temperatureC() + 273.15);
   const auto ns = as.noise(freqs, "n1", xs);
-  ASSERT_EQ(nd.outputPsd.size(), ns.outputPsd.size());
-  for (size_t k = 0; k < nd.outputPsd.size(); ++k) {
-    const double scale = std::max(1e-300, nd.outputPsd[k]);
-    EXPECT_LT(std::abs(ns.outputPsd[k] - nd.outputPsd[k]) / scale, 1e-9)
+  ASSERT_EQ(ns.outputPsd.size(), freqs.size());
+  for (size_t k = 0; k < freqs.size(); ++k) {
+    const auto sys = dense.acSystem(xd, freqs[k]);
+    double psd = 0.0;
+    for (const auto& src : sources) {
+      std::vector<std::complex<double>> rhs(xd.size());
+      if (src.a > 0) rhs[static_cast<size_t>(src.a - 1)] += 1.0;
+      if (src.b > 0) rhs[static_cast<size_t>(src.b - 1)] -= 1.0;
+      psd += std::norm(sys.solve(rhs)[static_cast<size_t>(outNode - 1)]) *
+             src.psdAt(freqs[k]);
+    }
+    EXPECT_LT(std::abs(ns.outputPsd[k] - psd) / std::max(1e-300, psd), 1e-9)
         << "noise point " << k;
   }
 }
@@ -345,9 +356,7 @@ TEST(SparseBackend, NoPatternInsertsAfterPriming) {
 
   sp::Circuit ckt;
   buildLadder(ckt, 60);
-  sp::AnalysisOptions opts;
-  opts.solver = sp::SolverKind::kSparse;
-  sp::Analyzer an(ckt, opts);
+  sp::Analyzer an(ckt);
   const auto x = an.op();
   EXPECT_EQ(an.stats().sparsePatternInserts, 0);
   EXPECT_EQ(an.stats().sparseFullFactors, 1);
