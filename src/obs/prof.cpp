@@ -6,12 +6,14 @@
 #include <execinfo.h>
 #include <signal.h>
 #include <time.h>
+#include <ucontext.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 #include <thread>
 
 #include "obs/bench.h"
@@ -76,7 +78,21 @@ SampleRing* claimRing(unsigned session) {
   return nullptr;
 }
 
-void profSignalHandler(int, siginfo_t*, void*) {
+/// The program counter the signal interrupted, read from the kernel's
+/// saved register state; nullptr on architectures not handled here.
+void* interruptedPc(void* uctx) {
+  const auto* uc = static_cast<const ucontext_t*>(uctx);
+#if defined(__x86_64__)
+  return reinterpret_cast<void*>(uc->uc_mcontext.gregs[REG_RIP]);
+#elif defined(__aarch64__)
+  return reinterpret_cast<void*>(uc->uc_mcontext.pc);
+#else
+  (void)uc;
+  return nullptr;
+#endif
+}
+
+void profSignalHandler(int, siginfo_t*, void* uctx) {
   // Everything here is async-signal-safe: atomics, backtrace() (the
   // unwinder is preheated at start so it allocates nothing here), and a
   // ring push. errno is preserved for the interrupted code.
@@ -92,7 +108,22 @@ void profSignalHandler(int, siginfo_t*, void*) {
     if (ring != nullptr) {
       void* pcs[kMaxFrames];
       const int depth = ::backtrace(pcs, kMaxFrames);
-      if (depth > 0) ring->push(pcs, depth);
+      // Cut the stack at the interrupted frame, dropping this handler
+      // and the kernel's sigreturn trampoline above it. The unwinder
+      // reports that frame's exact PC, not a return address, so it is
+      // stored one byte on: symbolizePc() steps every frame back a byte.
+      // When the PC is not found the stack is kept whole and
+      // firstRealFrame() strips it at stop.
+      int start = 0;
+      void* const pc = interruptedPc(uctx);
+      for (int i = 0; pc != nullptr && i < depth; ++i) {
+        if (pcs[i] == pc) {
+          pcs[i] = static_cast<char*>(pc) + 1;
+          start = i;
+          break;
+        }
+      }
+      if (depth > start) ring->push(pcs + start, depth - start);
     }
   }
   errno = savedErrno;
@@ -184,9 +215,11 @@ std::string cachedSymbol(std::map<void*, std::string>& cache, void* pc) {
   return sym;
 }
 
-/// Index of the first non-profiler frame: the handler and the kernel's
-/// signal trampoline lead every captured stack; everything below them
-/// is the interrupted code we actually want.
+/// Index of the first non-profiler frame, for stacks the handler could
+/// not cut at the interrupted PC: the handler and the kernel's signal
+/// trampoline lead them; everything below is the interrupted code. Only
+/// dynamic symbols are visible to dladdr, so this fallback misses a
+/// local handler or trampoline symbol.
 int firstRealFrame(const std::vector<void*>& pcs) {
   const int scan = std::min<int>(static_cast<int>(pcs.size()), 6);
   int start = 0;
@@ -229,9 +262,13 @@ std::string symbolizePc(void* pc) {
     if (status == 0 && demangled != nullptr) {
       std::string out = demangled;
       std::free(demangled);
-      // Strip the argument list: flamegraph frames read better as
-      // plain qualified names, and template arguments stay intact
-      // because only the *trailing* top-level parens are cut.
+      // Strip the argument list (and a const qualifier after it):
+      // flamegraph frames read better as plain qualified names, and
+      // template arguments stay intact because only the *trailing*
+      // top-level parens are cut.
+      constexpr std::string_view kConst = " const";
+      if (out.size() > kConst.size() && out.ends_with(kConst))
+        out.resize(out.size() - kConst.size());
       if (!out.empty() && out.back() == ')') {
         int depth = 0;
         for (size_t i = out.size(); i-- > 0;) {

@@ -29,7 +29,7 @@ namespace ahfic::spice {
 
 // One Gummel-Poon transistor position shared by every replica: node ids
 // and value-array slots resolved once from the shared pattern (the batch
-// analogue of the per-device StampMemo), plus replica-strided SoA
+// analogue of the per-device StampLayout), plus replica-strided SoA
 // parameter tables and the per-iteration evaluation outputs the scatter
 // pass consumes. Slot quads are in addConductance order — (a,a), (b,b),
 // (a,b), (b,a) — with -1 marking ground-touching entries that the

@@ -24,7 +24,7 @@
 //     loops over AHFIC_RESTRICT spans calling the same spice/gummel.h
 //     inlines as the scalar devices, then scattered into the value array
 //     through slots resolved once from the shared pattern (the batch
-//     analogue of the per-device StampMemo) in the devices' exact
+//     analogue of the per-device StampLayout) in the devices' exact
 //     load() stamp order.
 //
 // Newton runs in masked lockstep: each iteration evaluates all active

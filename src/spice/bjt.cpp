@@ -37,6 +37,7 @@ Bjt::Bjt(std::string name, Circuit& ckt, int c, int b, int e,
   vt_ = d.vt;
   vcritE_ = d.vcritE;
   vcritC_ = d.vcritC;
+  dep_ = d.dep;
   if (m_.rc > 0.0) ci_ = ckt.internalNode(this->name() + "#c");
   if (m_.rb > 0.0) bi_ = ckt.internalNode(this->name() + "#b");
   if (m_.re > 0.0) ei_ = ckt.internalNode(this->name() + "#e");
@@ -48,7 +49,7 @@ void Bjt::beginSolve(const Solution& x) {
 }
 
 void Bjt::load(Stamper& s, const Solution& x, const LoadContext& ctx) {
-  SlotWriter w(s, stampMemo());
+  SlotWriter w(s, stampLayout(ctx));
   const int c = nodes()[0], b = nodes()[1], e = nodes()[2];
 
   // Parasitic resistances (base resistance handled after evaluation).
@@ -124,7 +125,7 @@ void Bjt::load(Stamper& s, const Solution& x, const LoadContext& ctx) {
 }
 
 void Bjt::loadAc(AcStamper& s, const Solution& op, double omega) {
-  AcSlotWriter w(s, stampMemoAc());
+  AcSlotWriter w(s, stampLayoutAc());
   const int c = nodes()[0], b = nodes()[1], e = nodes()[2];
   const double vbe = pol_ * op.diff(bi_, ei_);
   const double vbc = pol_ * op.diff(bi_, ci_);

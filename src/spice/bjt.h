@@ -86,7 +86,7 @@ class Bjt final : public Device {
     return gummelEvaluate(m_, vt_, vbe, vbc, gmin);
   }
   Charges charges(double vbe, double vbc, double vcs, const Eval& e) const {
-    return gummelCharges(m_, vbe, vbc, vcs, e);
+    return gummelCharges(m_, dep_, vbe, vbc, vcs, e);
   }
 
   BjtModel model_;  ///< as given
@@ -95,6 +95,7 @@ class Bjt final : public Device {
   double pol_;      ///< +1 NPN, -1 PNP
   double vt_;
   double vcritE_, vcritC_;
+  GummelPoonDepletion dep_;  ///< depletion continuation constants of m_
   int ci_, bi_, ei_, sub_;
   double vbeLimited_ = 0.0, vbcLimited_ = 0.0;  ///< Newton limiting history
 };

@@ -155,20 +155,24 @@ class Device {
   }
 
  protected:
-  /// Slot memos for the CSR stamp path: load() and loadAc() wrap their
-  /// stamper in a SlotWriter bound to these, so each device caches the
-  /// value-array indices it stamps (one memo per scalar domain — the
-  /// real and complex patterns differ).
-  StampMemo& stampMemo() { return stampMemo_; }
-  StampMemo& stampMemoAc() { return stampMemoAc_; }
+  /// Stamp layouts for the CSR stamp path: load() and loadAc() wrap their
+  /// stamper in a SlotWriter bound to the layout of their layout key.
+  /// A load's stamp sequence depends only on the device's static
+  /// parameters and on whether companion stamps are present (c0 != 0),
+  /// so load() keeps one layout per value of that flag and loadAc() one
+  /// of its own (the complex pattern differs from the real one).
+  StampLayout& stampLayout(const LoadContext& ctx) {
+    return stampLayouts_[ctx.c0 != 0.0 ? 1 : 0];
+  }
+  StampLayout& stampLayoutAc() { return stampLayoutAc_; }
 
  private:
   std::string name_;
   std::vector<int> nodes_;
   int branchBase_ = -1;
   int stateBase_ = -1;
-  StampMemo stampMemo_;
-  StampMemo stampMemoAc_;
+  StampLayout stampLayouts_[2];
+  StampLayout stampLayoutAc_;
 };
 
 }  // namespace ahfic::spice

@@ -21,6 +21,7 @@ Diode::Diode(std::string name, Circuit& ckt, int anode, int cathode,
   model_ = d.m;
   vte_ = d.vte;
   vcrit_ = d.vcrit;
+  dep_ = d.dep;
   if (model_.rs > 0.0) aInt_ = ckt.internalNode(this->name() + "#a");
 }
 
@@ -37,7 +38,7 @@ void Diode::beginSolve(const Solution& x) {
 }
 
 void Diode::load(Stamper& s, const Solution& x, const LoadContext& ctx) {
-  SlotWriter w(s, stampMemo());
+  SlotWriter w(s, stampLayout(ctx));
   const int a = nodes()[0], c = nodes()[1];
   if (model_.rs > 0.0)
     w.addConductance(a, aInt_, area_ / model_.rs);
@@ -55,7 +56,7 @@ void Diode::load(Stamper& s, const Solution& x, const LoadContext& ctx) {
 
   // Charge: depletion + diffusion (tt * id).
   const auto dep = depletionQC(v, model_.cj0 * area_, model_.vj, model_.m,
-                               model_.fc);
+                               model_.fc, dep_);
   const double q = dep.q + model_.tt * iv.i;
   const double cap = dep.c + model_.tt * iv.g;
   const double dqdt = ctx.integrate(stateBase(), q);
@@ -77,14 +78,15 @@ void Diode::appendNoise(std::vector<NoiseSourceDesc>& out,
 }
 
 void Diode::loadAc(AcStamper& s, const Solution& op, double omega) {
-  AcSlotWriter w(s, stampMemoAc());
+  AcSlotWriter w(s, stampLayoutAc());
   const int a = nodes()[0], c = nodes()[1];
   if (model_.rs > 0.0)
     w.addAdmittance(a, aInt_, {area_ / model_.rs, 0.0});
   const double v = op.diff(aInt_, c);
   const auto iv = junctionIV(v, model_.is * area_, vte_);
   const auto dep =
-      depletionQC(v, model_.cj0 * area_, model_.vj, model_.m, model_.fc);
+      depletionQC(v, model_.cj0 * area_, model_.vj, model_.m, model_.fc,
+                  dep_);
   const double cap = dep.c + model_.tt * iv.g;
   w.addAdmittance(aInt_, c, {iv.g, omega * cap});
 }

@@ -65,14 +65,28 @@ inline BjtModel applyBjtAreaFactor(BjtModel m, double area) {
   return m;
 }
 
+/// Forward-bias continuation constants of the three depletion
+/// junctions (B-E, B-C and collector-substrate, the latter with fc = 0).
+struct GummelPoonDepletion {
+  DepletionCoeffs be, bc, cs;
+};
+
+inline GummelPoonDepletion gummelDepletion(const BjtModel& m) {
+  return {depletionCoeffs(m.vje, m.mje, m.fc),
+          depletionCoeffs(m.vjc, m.mjc, m.fc),
+          depletionCoeffs(m.vjs, m.mjs, 0.0)};
+}
+
 /// Per-instance derived constants of a Gummel-Poon transistor: the
-/// area-scaled, temperature-adjusted card plus thermal voltage and the
-/// pnjlim critical voltages. Exactly what the Bjt constructor computes.
+/// area-scaled, temperature-adjusted card plus thermal voltage, the
+/// pnjlim critical voltages and the depletion continuation constants.
+/// Exactly what the Bjt constructor computes.
 struct DerivedGummelPoon {
   BjtModel m;     ///< effective (area-scaled, temp-adjusted) card
   double vt;      ///< thermal voltage at the instance temperature
   double vcritE;  ///< pnjlim critical voltage, B-E
   double vcritC;  ///< pnjlim critical voltage, B-C
+  GummelPoonDepletion dep;  ///< continuation constants of `m`
 };
 
 inline DerivedGummelPoon deriveGummelPoon(const BjtModel& model, double area,
@@ -102,6 +116,7 @@ inline DerivedGummelPoon deriveGummelPoon(const BjtModel& model, double area,
   }
   d.vcritE = junctionVcrit(d.m.is, d.m.nf * d.vt);
   d.vcritC = junctionVcrit(d.m.is, d.m.nr * d.vt);
+  d.dep = gummelDepletion(d.m);
   return d;
 }
 
@@ -219,15 +234,17 @@ inline GummelPoonEval gummelEvaluate(const BjtModel& m, double vt,
 }
 
 /// Charges and capacitances at given junction voltages (needs the
-/// matching gummelEvaluate result for the diffusion terms).
-inline GummelPoonCharges gummelCharges(const BjtModel& m, double vbe,
-                                       double vbc, double vcs,
+/// matching gummelEvaluate result for the diffusion terms and `k` =
+/// gummelDepletion(m)).
+inline GummelPoonCharges gummelCharges(const BjtModel& m,
+                                       const GummelPoonDepletion& k,
+                                       double vbe, double vbc, double vcs,
                                        const GummelPoonEval& e) {
   GummelPoonCharges c{};
 
   // B-E: depletion + forward diffusion with XTF/VTF/ITF bias dependence.
   {
-    const auto dep = depletionQC(vbe, m.cje, m.vje, m.mje, m.fc);
+    const auto dep = depletionQC(vbe, m.cje, m.vje, m.mje, m.fc, k.be);
     double qde = 0.0, cde = 0.0;
     if (m.tf > 0.0) {
       double argtf = 0.0, arg2 = 0.0;
@@ -254,21 +271,35 @@ inline GummelPoonCharges gummelCharges(const BjtModel& m, double vbe,
   }
 
   // B-C: XCJC fraction at the internal base, remainder at the external
-  // base; reverse diffusion charge TR * ibc1 on the internal part.
+  // base; reverse diffusion charge TR * ibc1 on the internal part. Both
+  // parts see the same vbc, VJC and MJC, so below the continuation they
+  // share one pair of powers.
   {
-    const auto depInt = depletionQC(vbc, m.cjc * m.xcjc, m.vjc, m.mjc,
-                                    m.fc);
+    const double cjInt = m.cjc * m.xcjc;
+    const double cjExt = m.cjc * (1.0 - m.xcjc);
+    const bool hasInt = !(cjInt <= 0.0), hasExt = !(cjExt <= 0.0);
+    DepletionQC depInt{0.0, 0.0}, depExt{0.0, 0.0};
+    if (vbc < m.fc * m.vjc) {
+      if (hasInt || hasExt) {
+        const double a = 1.0 - vbc / m.vjc;
+        const double aNegM = std::pow(a, -m.mjc);
+        const double a1mM = std::pow(a, 1.0 - m.mjc);
+        if (hasInt) depInt = depletionBelow(cjInt, m.vjc, m.mjc, aNegM, a1mM);
+        if (hasExt) depExt = depletionBelow(cjExt, m.vjc, m.mjc, aNegM, a1mM);
+      }
+    } else {
+      depInt = depletionQC(vbc, cjInt, m.vjc, m.mjc, m.fc, k.bc);
+      depExt = depletionQC(vbc, cjExt, m.vjc, m.mjc, m.fc, k.bc);
+    }
     c.qbc = depInt.q + m.tr * e.ibc1;
     c.cbc = depInt.c + m.tr * e.gbc1;
-    const auto depExt = depletionQC(vbc, m.cjc * (1.0 - m.xcjc), m.vjc,
-                                    m.mjc, m.fc);
     c.qbx = depExt.q;
     c.cbx = depExt.c;
   }
 
   // Collector-substrate depletion (normally reverse biased).
   {
-    const auto dep = depletionQC(vcs, m.cjs, m.vjs, m.mjs, 0.0);
+    const auto dep = depletionQC(vcs, m.cjs, m.vjs, m.mjs, 0.0, k.cs);
     c.qcs = dep.q;
     c.ccs = dep.c;
   }
@@ -277,11 +308,13 @@ inline GummelPoonCharges gummelCharges(const BjtModel& m, double vbe,
 
 /// Per-instance derived constants of a junction diode: the
 /// temperature-adjusted card (area is applied at the use sites, exactly
-/// as in the Diode device) plus n*Vt and the pnjlim critical voltage.
+/// as in the Diode device) plus n*Vt, the pnjlim critical voltage and
+/// the depletion continuation constants.
 struct DerivedDiode {
-  DiodeModel m;  ///< temperature-adjusted card
-  double vte;    ///< n * Vt
-  double vcrit;  ///< pnjlim critical voltage
+  DiodeModel m;         ///< temperature-adjusted card
+  double vte;           ///< n * Vt
+  double vcrit;         ///< pnjlim critical voltage
+  DepletionCoeffs dep;  ///< depletion continuation constants of `m`
 };
 
 inline DerivedDiode deriveDiode(const DiodeModel& model, double area,
@@ -299,6 +332,7 @@ inline DerivedDiode deriveDiode(const DiodeModel& model, double area,
               std::exp(d.m.eg / d.vte * (tr - 1.0));
   }
   d.vcrit = junctionVcrit(d.m.is * area, d.vte);
+  d.dep = depletionCoeffs(d.m.vj, d.m.m, d.m.fc);
   return d;
 }
 

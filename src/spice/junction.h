@@ -65,24 +65,46 @@ struct DepletionQC {
   double c;
 };
 
-inline DepletionQC depletionQC(double v, double cj0, double vj, double m,
-                               double fc) {
-  if (cj0 <= 0.0) return {0.0, 0.0};
+/// Card constants of the linear continuation above fc*vj. They depend
+/// on (vj, m, fc) alone, so a device can compute them once per instance.
+struct DepletionCoeffs {
+  double f1;  ///< vj/(1-m) * (1 - (1-fc)^(1-m))
+  double f2;  ///< (1-fc)^-(1+m)
+};
+
+inline DepletionCoeffs depletionCoeffs(double vj, double m, double fc) {
+  return {vj / (1.0 - m) * (1.0 - std::pow(1.0 - fc, 1.0 - m)),
+          std::pow(1.0 - fc, -(1.0 + m))};
+}
+
+/// Depletion charge and capacitance below fc*vj, from the two powers of
+/// a = 1 - v/vj: `aNegM` = a^-m and `a1mM` = a^(1-m).
+inline DepletionQC depletionBelow(double cj0, double vj, double m,
+                                  double aNegM, double a1mM) {
+  return {cj0 * vj / (1.0 - m) * (1.0 - a1mM), cj0 * aNegM};
+}
+
+/// Linear continuation: c(v) = cj0/(1-fc)^(1+m) * (1 - fc(1+m) + m v/vj)
+inline DepletionQC depletionAbove(double v, double cj0, double vj, double m,
+                                  double fc, const DepletionCoeffs& k) {
   const double vf = fc * vj;
-  if (v < vf) {
-    const double a = 1.0 - v / vj;
-    const double c = cj0 * std::pow(a, -m);
-    const double q = cj0 * vj / (1.0 - m) * (1.0 - std::pow(a, 1.0 - m));
-    return {q, c};
-  }
-  // Linear continuation: c(v) = cj0/(1-fc)^(1+m) * (1 - fc(1+m) + m v/vj)
-  const double f1 = vj / (1.0 - m) * (1.0 - std::pow(1.0 - fc, 1.0 - m));
-  const double f2 = std::pow(1.0 - fc, -(1.0 + m));
   const double f3 = 1.0 - fc * (1.0 + m);
-  const double c = cj0 * f2 * (f3 + m * v / vj);
+  const double c = cj0 * k.f2 * (f3 + m * v / vj);
   const double q =
-      cj0 * (f1 + f2 * (f3 * (v - vf) + 0.5 * m / vj * (v * v - vf * vf)));
+      cj0 * (k.f1 + k.f2 * (f3 * (v - vf) + 0.5 * m / vj * (v * v - vf * vf)));
   return {q, c};
+}
+
+/// Depletion charge and capacitance with precomputed continuation
+/// constants `k` (= depletionCoeffs(vj, m, fc)).
+inline DepletionQC depletionQC(double v, double cj0, double vj, double m,
+                               double fc, const DepletionCoeffs& k) {
+  if (cj0 <= 0.0) return {0.0, 0.0};
+  if (v < fc * vj) {
+    const double a = 1.0 - v / vj;
+    return depletionBelow(cj0, vj, m, std::pow(a, -m), std::pow(a, 1.0 - m));
+  }
+  return depletionAbove(v, cj0, vj, m, fc, k);
 }
 
 }  // namespace ahfic::spice

@@ -386,6 +386,11 @@ class SparseLU {
       }
       uColPtr_[static_cast<size_t>(k) + 1] = static_cast<int>(up);
     }
+    // Original row of every U entry, so the refactor replay reads one
+    // flat array instead of chasing uSteps_ -> prow_.
+    uRows_.resize(uNnz);
+    for (size_t p = 0; p < uNnz; ++p)
+      uRows_[p] = prow_[static_cast<size_t>(uSteps_[p])];
     stats_.nnzL = lNnz;
     stats_.nnzU = uNnz;
     haveSymbolic_ = true;
@@ -397,51 +402,52 @@ class SparseLU {
   /// longer trustworthy (caller then re-runs fullFactor).
   bool refactor(const std::vector<T>& vals) {
     const int n = n_;
+    const T* a = vals.data();
+    const int* colOrder = colOrder_.data();
+    const int* prow = prow_.data();
+    const int* aColPtr = aColPtr_.data();
+    const int* aRowIdx = aRowIdx_.data();
+    const int* aCsrSlot = aCsrSlot_.data();
+    const int* lColPtr = lColPtr_.data();
+    const int* lRows = lRows_.data();
+    const int* uColPtr = uColPtr_.data();
+    const int* uSteps = uSteps_.data();
+    const int* uRows = uRows_.data();
+    T* lVals = lVals_.data();
+    T* uVals = uVals_.data();
+    T* diag = diag_.data();
+    T* work = work_.data();
     for (int k = 0; k < n; ++k) {
-      const int j = colOrder_[static_cast<size_t>(k)];
+      const int j = colOrder[k];
+      const int u0 = uColPtr[k], u1 = uColPtr[k + 1];
+      const int l0 = lColPtr[k], l1 = lColPtr[k + 1];
       // Zero the column's final pattern, then scatter A(:,j).
-      for (int p = uColPtr_[static_cast<size_t>(k)];
-           p < uColPtr_[static_cast<size_t>(k) + 1]; ++p)
-        work_[static_cast<size_t>(
-            prow_[static_cast<size_t>(uSteps_[static_cast<size_t>(p)])])] = T{};
-      work_[static_cast<size_t>(prow_[static_cast<size_t>(k)])] = T{};
-      for (int p = lColPtr_[static_cast<size_t>(k)];
-           p < lColPtr_[static_cast<size_t>(k) + 1]; ++p)
-        work_[static_cast<size_t>(lRows_[static_cast<size_t>(p)])] = T{};
-      for (int p = aColPtr_[static_cast<size_t>(j)];
-           p < aColPtr_[static_cast<size_t>(j) + 1]; ++p)
-        work_[static_cast<size_t>(aRowIdx_[static_cast<size_t>(p)])] =
-            vals[static_cast<size_t>(aCsrSlot_[static_cast<size_t>(p)])];
+      for (int p = u0; p < u1; ++p) work[uRows[p]] = T{};
+      work[prow[k]] = T{};
+      for (int p = l0; p < l1; ++p) work[lRows[p]] = T{};
+      for (int p = aColPtr[j]; p < aColPtr[j + 1]; ++p)
+        work[aRowIdx[p]] = a[aCsrSlot[p]];
       double colMax = 0.0;
-      for (int p = uColPtr_[static_cast<size_t>(k)];
-           p < uColPtr_[static_cast<size_t>(k) + 1]; ++p) {
-        const int kp = uSteps_[static_cast<size_t>(p)];
-        const T alpha =
-            work_[static_cast<size_t>(prow_[static_cast<size_t>(kp)])];
-        uVals_[static_cast<size_t>(p)] = alpha;
+      for (int p = u0; p < u1; ++p) {
+        const T alpha = work[uRows[p]];
+        uVals[p] = alpha;
         const double m = pivotMag(alpha);
         if (m > colMax) colMax = m;
         if (alpha == T{}) continue;
-        for (int q = lColPtr_[static_cast<size_t>(kp)];
-             q < lColPtr_[static_cast<size_t>(kp) + 1]; ++q)
-          work_[static_cast<size_t>(lRows_[static_cast<size_t>(q)])] -=
-              alpha * lVals_[static_cast<size_t>(q)];
+        const int kp = uSteps[p];
+        for (int q = lColPtr[kp]; q < lColPtr[kp + 1]; ++q)
+          work[lRows[q]] -= alpha * lVals[q];
       }
-      const T piv = work_[static_cast<size_t>(prow_[static_cast<size_t>(k)])];
+      const T piv = work[prow[k]];
       const double pm = pivotMag(piv);
       if (pm > colMax) colMax = pm;
-      for (int p = lColPtr_[static_cast<size_t>(k)];
-           p < lColPtr_[static_cast<size_t>(k) + 1]; ++p) {
-        const double m =
-            pivotMag(work_[static_cast<size_t>(lRows_[static_cast<size_t>(p)])]);
+      for (int p = l0; p < l1; ++p) {
+        const double m = pivotMag(work[lRows[p]]);
         if (m > colMax) colMax = m;
       }
       if (pm < kAbsTiny || pm < kRefactorRelTol * colMax) return false;
-      diag_[static_cast<size_t>(k)] = piv;
-      for (int p = lColPtr_[static_cast<size_t>(k)];
-           p < lColPtr_[static_cast<size_t>(k) + 1]; ++p)
-        lVals_[static_cast<size_t>(p)] =
-            work_[static_cast<size_t>(lRows_[static_cast<size_t>(p)])] / piv;
+      diag[k] = piv;
+      for (int p = l0; p < l1; ++p) lVals[p] = work[lRows[p]] / piv;
     }
     return true;
   }
@@ -466,8 +472,9 @@ class SparseLU {
   std::vector<int> colOrder_, prow_, pinv_;
 
   // Factors: L per column (original row ids, unit diagonal implicit),
-  // U per column (pivot steps, ascending), diagonal separate.
-  std::vector<int> lColPtr_, lRows_, uColPtr_, uSteps_;
+  // U per column (pivot steps, ascending, and the rows pivoted at those
+  // steps), diagonal separate.
+  std::vector<int> lColPtr_, lRows_, uColPtr_, uSteps_, uRows_;
   std::vector<T> lVals_, uVals_, diag_;
 
   std::vector<T> work_;

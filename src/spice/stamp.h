@@ -6,17 +6,19 @@
 // pass) and perform the unknown-id -> row mapping, dropping any
 // contribution that involves ground (id 0).
 //
-// CSR targets add a slot protocol on top: a stamper bound to a
-// CsrPattern exposes patternEpoch()/locateA()/addAt(), and devices wrap
-// whatever stamper they are handed in a SlotWriter that memoizes the
-// slot of every matrix position they touch (see StampMemo). After the
-// first assemble against a pattern revision, re-stamping is a straight
-// replay of cached value-array indices — no binary search, no map
-// insertions. The memo self-heals: every replayed entry is verified
-// against the (row, col) key actually being stamped, so call sequences
-// that differ between analysis modes (DC stamps fewer companion
-// entries than transient) just rewrite the memo from the point of
-// divergence instead of corrupting it.
+// Besides the virtual addA/addRhs, every stamper carries a plain
+// StampTarget naming the arrays it writes, so the SlotWriter a device
+// wraps around it can write them directly. A CSR target adds the slot
+// protocol: each device keeps one StampLayout per layout key (DC or
+// transient for load(), one for loadAc()), because every device's stamp
+// call sequence is a function of its static parameters and that key
+// alone. The first load per (pattern epoch, key) records the slot of
+// every matrix position, resolving each through the pattern; every later
+// load replays the recorded slots straight into the value array — no
+// binary search, no virtual call. The replay is length-checked: a load
+// that runs past the recording resolves the rest through the pattern,
+// and a load that runs past or ends short of it leaves the layout to be
+// recorded again.
 
 #include <complex>
 #include <cstdint>
@@ -31,12 +33,25 @@ namespace ahfic::spice {
 inline constexpr int kStampSlotGround = -1;  ///< touches ground; dropped
 inline constexpr int kStampSlotMiss = -2;    ///< not in the pattern (yet)
 
-/// Per-device cache of matrix slots, in stamp-call order. Valid only for
-/// the pattern revision named by `epoch`; a SlotWriter clears it on any
-/// epoch change, so devices never need to invalidate it themselves.
-struct StampMemo {
+/// One device's recorded stamp sequence for one layout key: the matrix
+/// slot of every addA in call order. Valid for replay only when
+/// `complete` and recorded against the pattern revision `epoch`; a
+/// SlotWriter maintains it, so devices never invalidate it themselves.
+struct StampLayout {
   std::uint64_t epoch = 0;
-  std::vector<std::pair<std::uint64_t, int>> entries;  ///< (rc key, slot)
+  bool complete = false;
+  std::vector<int> slots;
+};
+
+/// What a stamper writes, for SlotWriter's direct path. A CSR target
+/// names its pattern, value array and RHS; an RHS-only target names its
+/// RHS alone (matrix writes vanish); a target naming neither gets every
+/// call through the virtual addA/addRhs.
+template <typename V>
+struct StampTarget {
+  const CsrPattern* pattern = nullptr;
+  std::vector<V>* vals = nullptr;
+  std::vector<V>* rhs = nullptr;
 };
 
 /// Real-valued stamping target for DC and transient loads.
@@ -49,21 +64,7 @@ class Stamper {
   /// Adds `v` to the right-hand side at `idRow`.
   virtual void addRhs(int idRow, double v) = 0;
 
-  /// Epoch of the CSR pattern this stamper writes through, or 0 when the
-  /// target has no stable slot addressing (pattern discovery, RHS-only).
-  virtual std::uint64_t patternEpoch() const { return 0; }
-  /// Slot for (idRow, idCol): a value-array index, kStampSlotGround, or
-  /// kStampSlotMiss. Only meaningful when patternEpoch() != 0.
-  virtual int locateA(int idRow, int idCol) {
-    (void)idRow;
-    (void)idCol;
-    return kStampSlotMiss;
-  }
-  /// Accumulates `v` directly at a slot returned by locateA().
-  virtual void addAt(int slot, double v) {
-    (void)slot;
-    (void)v;
-  }
+  const StampTarget<double>& target() const { return target_; }
 
   /// Conductance `g` between unknowns `a` and `b` (two-terminal element).
   void addConductance(int a, int b, double g) {
@@ -93,6 +94,9 @@ class Stamper {
     addRhs(a, -ieq);
     addRhs(b, ieq);
   }
+
+ protected:
+  StampTarget<double> target_;
 };
 
 /// Complex-valued stamping target for AC small-signal loads.
@@ -103,17 +107,7 @@ class AcStamper {
   virtual void addA(int idRow, int idCol, std::complex<double> v) = 0;
   virtual void addRhs(int idRow, std::complex<double> v) = 0;
 
-  /// Slot protocol; see Stamper for semantics.
-  virtual std::uint64_t patternEpoch() const { return 0; }
-  virtual int locateA(int idRow, int idCol) {
-    (void)idRow;
-    (void)idCol;
-    return kStampSlotMiss;
-  }
-  virtual void addAt(int slot, std::complex<double> v) {
-    (void)slot;
-    (void)v;
-  }
+  const StampTarget<std::complex<double>>& target() const { return target_; }
 
   void addAdmittance(int a, int b, std::complex<double> y) {
     addA(a, a, y);
@@ -129,6 +123,9 @@ class AcStamper {
     addA(b, cp, -y);
     addA(b, cn, y);
   }
+
+ protected:
+  StampTarget<std::complex<double>> target_;
 };
 
 /// CSR-backed stamper (real or complex): values land in a slot-ordered
@@ -142,7 +139,11 @@ class CsrStamperT final : public Base {
   CsrStamperT(const CsrPattern& pat, std::vector<V>& vals,
               std::vector<V>& rhs,
               std::vector<std::pair<int, int>>* pending = nullptr)
-      : pat_(pat), vals_(vals), rhs_(rhs), pending_(pending) {}
+      : pat_(pat), vals_(vals), rhs_(rhs), pending_(pending) {
+    this->target_.pattern = &pat;
+    this->target_.vals = &vals;
+    this->target_.rhs = &rhs;
+  }
 
   void addA(int r, int c, V v) override {
     if (r <= 0 || c <= 0) return;
@@ -157,16 +158,6 @@ class CsrStamperT final : public Base {
     if (r > 0) rhs_[static_cast<size_t>(r - 1)] += v;
   }
 
-  std::uint64_t patternEpoch() const override { return pat_.epoch(); }
-  int locateA(int r, int c) override {
-    if (r <= 0 || c <= 0) return kStampSlotGround;
-    const int slot = pat_.slot(r - 1, c - 1);
-    return slot < 0 ? kStampSlotMiss : slot;
-  }
-  void addAt(int slot, V v) override {
-    vals_[static_cast<size_t>(slot)] += v;
-  }
-
  private:
   const CsrPattern& pat_;
   std::vector<V>& vals_;
@@ -177,54 +168,71 @@ class CsrStamperT final : public Base {
 using CsrStamper = CsrStamperT<Stamper, double>;
 using CsrAcStamper = CsrStamperT<AcStamper, std::complex<double>>;
 
-/// Device-side memoizing front end over any stamper. Constructed at the
-/// top of a device's load()/loadAc() around the stamper it was handed;
-/// when the backend exposes a pattern epoch, every addA resolves through
-/// the device's StampMemo (fast replay of cached slots, key-verified so
-/// a diverging call sequence heals itself); otherwise calls forward
-/// untouched. Mirrors the convenience helpers of Stamper/AcStamper so
-/// device bodies read the same as before.
+/// Device-side front end over any stamper. Constructed at the top of a
+/// device's load()/loadAc() around the stamper it was handed and the
+/// device's StampLayout for the load's layout key. Against a CSR target
+/// it replays the layout's recorded slots inline (or records them, out of
+/// line, on the first load per pattern epoch); against an RHS-only target
+/// it writes the RHS directly and drops the matrix inline; any other
+/// target gets the virtual calls. Mirrors the convenience helpers of
+/// Stamper/AcStamper so device bodies read the same as before.
 template <typename S, typename V>
 class SlotWriterT {
  public:
-  SlotWriterT(S& s, StampMemo& memo) : s_(s), memo_(memo) {
-    const std::uint64_t e = s.patternEpoch();
-    fast_ = e != 0;
-    if (fast_ && memo_.epoch != e) {
-      memo_.entries.clear();
-      memo_.epoch = e;
-    }
-  }
-
-  void addA(int r, int c, V v) {
-    if (!fast_) {
-      s_.addA(r, c, v);
+  SlotWriterT(S& s, StampLayout& layout) : s_(s), layout_(layout) {
+    const StampTarget<V>& t = s.target();
+    if (t.rhs == nullptr) {
+      mode_ = Mode::kForward;
       return;
     }
-    const std::uint64_t key = packKey(r, c);
-    if (cursor_ < memo_.entries.size() &&
-        memo_.entries[cursor_].first == key) {
-      const int slot = memo_.entries[cursor_++].second;
+    rhs_ = t.rhs->data();
+    if (t.pattern != nullptr) {
+      vals_ = t.vals->data();
+      pattern_ = t.pattern;
+      const std::uint64_t e = pattern_->epoch();
+      if (layout_.complete && layout_.epoch == e) {
+        mode_ = Mode::kReplay;
+        slots_ = layout_.slots.data();
+        len_ = layout_.slots.size();
+      } else {
+        mode_ = Mode::kRecord;
+        layout_.epoch = e;
+        layout_.complete = false;
+        layout_.slots.clear();
+      }
+    }
+  }
+  ~SlotWriterT() {
+    // A replay that ended short of the recording, or ran past it, leaves
+    // the layout to be recorded afresh by the next load.
+    if (mode_ == Mode::kRecord)
+      layout_.complete = !overran_;
+    else if (mode_ == Mode::kReplay && cursor_ != len_)
+      layout_.complete = false;
+  }
+  SlotWriterT(const SlotWriterT&) = delete;
+  SlotWriterT& operator=(const SlotWriterT&) = delete;
+
+  void addA(int r, int c, V v) {
+    if (cursor_ < len_) {  // replay: len_ is 0 in every other mode
+      const int slot = slots_[cursor_++];
       if (slot >= 0)
-        s_.addAt(slot, v);
+        vals_[slot] += v;
       else if (slot == kStampSlotMiss)
         s_.addA(r, c, v);  // keeps feeding `pending` until the pattern grows
       return;
     }
-    // First pass over this position, or the call sequence diverged from
-    // the memo (e.g. DC -> transient): resolve and overwrite in place.
-    const int slot = s_.locateA(r, c);
-    if (cursor_ < memo_.entries.size())
-      memo_.entries[cursor_] = {key, slot};
-    else
-      memo_.entries.emplace_back(key, slot);
-    ++cursor_;
-    if (slot >= 0)
-      s_.addAt(slot, v);
-    else if (slot == kStampSlotMiss)
+    if (mode_ == Mode::kForward)
       s_.addA(r, c, v);
+    else if (mode_ != Mode::kRhsOnly)
+      recordA(r, c, v);
   }
-  void addRhs(int r, V v) { s_.addRhs(r, v); }
+  void addRhs(int r, V v) {
+    if (rhs_ == nullptr)
+      s_.addRhs(r, v);
+    else if (r > 0)
+      rhs_[r - 1] += v;
+  }
 
   // Stamper-style helpers (real path).
   void addConductance(int a, int b, V g) {
@@ -253,15 +261,45 @@ class SlotWriterT {
   }
 
  private:
-  static std::uint64_t packKey(int r, int c) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(r)) << 32) |
-           static_cast<std::uint32_t>(c);
+  enum class Mode {
+    kRhsOnly,  ///< RHS-only target: matrix writes vanish
+    kForward,  ///< no direct arrays: every call goes through `s_`
+    kReplay,   ///< CSR, layout recorded: inline slot replay
+    kRecord,   ///< CSR, layout being (re)recorded through the pattern
+  };
+
+  /// The recording path, kept out of line: resolves (r, c) through the
+  /// pattern, appends its slot to the layout and stamps it.
+  [[gnu::noinline]] void recordA(int r, int c, V v) {
+    if (mode_ == Mode::kReplay) {
+      // Ran past the recording: resolve the rest of this load through
+      // the pattern, and leave the layout incomplete.
+      mode_ = Mode::kRecord;
+      len_ = 0;
+      overran_ = true;
+    }
+    int slot = kStampSlotGround;
+    if (r > 0 && c > 0) {
+      slot = pattern_->slot(r - 1, c - 1);
+      if (slot < 0) slot = kStampSlotMiss;
+    }
+    layout_.slots.push_back(slot);
+    if (slot >= 0)
+      vals_[slot] += v;
+    else if (slot == kStampSlotMiss)
+      s_.addA(r, c, v);
   }
 
   S& s_;
-  StampMemo& memo_;
+  StampLayout& layout_;
+  const CsrPattern* pattern_ = nullptr;
+  V* vals_ = nullptr;
+  V* rhs_ = nullptr;
+  const int* slots_ = nullptr;
   size_t cursor_ = 0;
-  bool fast_ = false;
+  size_t len_ = 0;
+  Mode mode_ = Mode::kRhsOnly;
+  bool overran_ = false;
 };
 
 using SlotWriter = SlotWriterT<Stamper, double>;
@@ -294,7 +332,9 @@ using AcPatternStamper = PatternStamperT<AcStamper, std::complex<double>>;
 /// candidate solution.
 class RhsOnlyStamper final : public Stamper {
  public:
-  explicit RhsOnlyStamper(std::vector<double>& rhs) : rhs_(rhs) {}
+  explicit RhsOnlyStamper(std::vector<double>& rhs) : rhs_(rhs) {
+    target_.rhs = &rhs;
+  }
   void addA(int, int, double) override {}
   void addRhs(int r, double v) override {
     if (r > 0) rhs_[static_cast<size_t>(r - 1)] += v;

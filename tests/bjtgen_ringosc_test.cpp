@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "bjtgen/generator.h"
 #include "bjtgen/ringosc.h"
 #include "spice/analysis.h"
@@ -110,4 +113,51 @@ TEST(RingOscillator, ThreeStageVariantAlsoOscillates) {
   // Fewer stages -> higher frequency.
   const auto five = bg::measureRingFrequency(defaultSpec(), 8.0, 3.0);
   EXPECT_GT(m.frequency, five.frequency);
+}
+
+namespace {
+std::string hexFloat(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+}  // namespace
+
+TEST(RingOscillator, Table1TransientIsBitIdentical) {
+#if defined(AHFIC_NATIVE_ARCH_BUILD)
+  GTEST_SKIP() << "-march=native may contract multiply-adds into FMA, "
+                  "which moves the pinned hex-float values by ulps";
+#endif
+  // Table 1 at its bench settings (10 ns window, 3 ps cap, follower
+  // N1.2-6D): the frequency to the last bit and the exact Newton and step
+  // counts. A solver change that claims to be bit-identical must leave
+  // every value here untouched.
+  struct Golden {
+    const char* shape;
+    double frequency;
+    long newton, accepted, rejected;
+  };
+  const Golden golden[] = {
+      {"N1.2-6S", 0x1.4deebf8abef74p+29, 6846, 3352, 0},
+      {"N1.2-6D", 0x1.4cea805421e29p+30, 7458, 3352, 0},
+      {"N2.4-6D", 0x1.1e26af1857e18p+30, 7568, 3352, 0},
+      {"N1.2x2-6S", 0x1.21b7e58608049p+30, 7501, 3352, 0},
+      {"N1.2-12D", 0x1.b4a99ba90bcf3p+30, 7677, 3352, 0},
+      {"N1.2x2-6T", 0x1.ad1beb56030ap+30, 7684, 3352, 0},
+  };
+  static bg::ModelGenerator gen =
+      bg::ModelGenerator::withDefaultTechnology();
+  for (const Golden& g : golden) {
+    auto spec = defaultSpec();
+    spec.diffPairModel = gen.generate(g.shape);
+    sp::AnalyzerStats stats;
+    const auto m = bg::measureRingFrequency(spec, 10.0, 3.0, {}, &stats);
+    EXPECT_TRUE(m.oscillating) << g.shape;
+    EXPECT_EQ(m.frequency, g.frequency)
+        << g.shape << ": " << hexFloat(m.frequency) << " vs "
+        << hexFloat(g.frequency);
+    EXPECT_EQ(stats.newtonIterations, g.newton) << g.shape;
+    EXPECT_EQ(stats.acceptedSteps, g.accepted) << g.shape;
+    EXPECT_EQ(stats.rejectedSteps, g.rejected) << g.shape;
+  }
 }

@@ -26,6 +26,14 @@ extern "C" __attribute__((noinline)) void ahficProfTestAnchor() {
   asm volatile("");
 }
 
+// Pure arithmetic leaf (calls nothing), exported for the same reason:
+// while it runs, every profiler sample should name it as the leaf.
+extern "C" __attribute__((noinline)) double ahficProfTestBurnLeaf(double acc,
+                                                                  long n) {
+  for (long i = 0; i < n; ++i) acc = acc * 1.0000001 + 1e-9;
+  return acc;
+}
+
 namespace {
 
 TEST(ObsProf, FoldedStacksAggregatesAndSortsDeterministically) {
@@ -247,6 +255,36 @@ TEST(ObsProf, EndToEndCaptureProducesSamplesAndFiles) {
   const obs::ProfileReport second = obs::stopProfiling();
   EXPECT_EQ(second.clock, "cpu");
   EXPECT_FALSE(obs::profilingActive());
+}
+
+TEST(ObsProf, LeafFrameIsInterruptedCode) {
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "ThreadSanitizer defers asynchronous signals to its "
+                  "next interceptor, so the handler never runs on the "
+                  "interrupted frame";
+#endif
+  // The handler and the sigreturn trampoline must not appear in the
+  // captured stacks: the leaf is the code the signal interrupted.
+  obs::profileSetThreadName("main");
+  ASSERT_TRUE(obs::startProfiling());
+  const auto t0 = std::chrono::steady_clock::now();
+  volatile double sink = 1.0;
+  while (std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       t0)
+             .count() < 0.5)
+    sink = ahficProfTestBurnLeaf(sink, 2000000);
+  const obs::ProfileReport report = obs::stopProfiling();
+  ASSERT_GE(report.samples, 10);
+  long long leaf = 0;
+  const std::string suffix = ";ahficProfTestBurnLeaf";
+  for (const auto& [stack, count] : report.stacks)
+    if (stack.size() >= suffix.size() &&
+        stack.compare(stack.size() - suffix.size(), suffix.size(),
+                      suffix) == 0)
+      leaf += count;
+  EXPECT_GE(leaf * 10, report.samples * 9)
+      << leaf << " of " << report.samples << " samples; top stack: "
+      << report.stacks[0].first;
 }
 
 TEST(ObsProf, ScopedProfileWritesOnDestruction) {

@@ -17,10 +17,11 @@ class DepletionParamTest
 TEST_P(DepletionParamTest, ContinuousAtFcTransition) {
   const auto [vj, m, fc] = GetParam();
   const double cj0 = 10e-15;
+  const auto k = sp::depletionCoeffs(vj, m, fc);
   const double vt = fc * vj;
   const double eps = vj * 1e-9;
-  const auto below = sp::depletionQC(vt - eps, cj0, vj, m, fc);
-  const auto above = sp::depletionQC(vt + eps, cj0, vj, m, fc);
+  const auto below = sp::depletionQC(vt - eps, cj0, vj, m, fc, k);
+  const auto above = sp::depletionQC(vt + eps, cj0, vj, m, fc, k);
   // Charge and capacitance are both continuous across the linearisation
   // boundary.
   EXPECT_NEAR(below.q, above.q, std::fabs(below.q) * 1e-5 + 1e-22);
@@ -30,11 +31,12 @@ TEST_P(DepletionParamTest, ContinuousAtFcTransition) {
 TEST_P(DepletionParamTest, CapacitanceIsChargeDerivative) {
   const auto [vj, m, fc] = GetParam();
   const double cj0 = 10e-15;
+  const auto k = sp::depletionCoeffs(vj, m, fc);
   for (double v : {-5.0, -1.0, 0.0, 0.3 * vj, fc * vj + 0.2, 1.5}) {
     const double h = 1e-6;
-    const auto lo = sp::depletionQC(v - h, cj0, vj, m, fc);
-    const auto hi = sp::depletionQC(v + h, cj0, vj, m, fc);
-    const auto mid = sp::depletionQC(v, cj0, vj, m, fc);
+    const auto lo = sp::depletionQC(v - h, cj0, vj, m, fc, k);
+    const auto hi = sp::depletionQC(v + h, cj0, vj, m, fc, k);
+    const auto mid = sp::depletionQC(v, cj0, vj, m, fc, k);
     EXPECT_NEAR((hi.q - lo.q) / (2 * h), mid.c, mid.c * 1e-3 + 1e-20)
         << "v=" << v;
   }
@@ -43,9 +45,10 @@ TEST_P(DepletionParamTest, CapacitanceIsChargeDerivative) {
 TEST_P(DepletionParamTest, CapacitanceGrowsTowardForwardBias) {
   const auto [vj, m, fc] = GetParam();
   const double cj0 = 10e-15;
+  const auto k = sp::depletionCoeffs(vj, m, fc);
   double prev = 0.0;
   for (double v = -3.0; v < vj; v += 0.1) {
-    const auto qc = sp::depletionQC(v, cj0, vj, m, fc);
+    const auto qc = sp::depletionQC(v, cj0, vj, m, fc, k);
     EXPECT_GT(qc.c, prev) << v;
     prev = qc.c;
   }
@@ -59,7 +62,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(0.55, 0.4, 0.0)));
 
 TEST(Depletion, ZeroCj0IsZero) {
-  const auto qc = sp::depletionQC(0.3, 0.0, 0.75, 0.33, 0.5);
+  const auto qc = sp::depletionQC(0.3, 0.0, 0.75, 0.33, 0.5,
+                                   sp::depletionCoeffs(0.75, 0.33, 0.5));
   EXPECT_EQ(qc.q, 0.0);
   EXPECT_EQ(qc.c, 0.0);
 }
