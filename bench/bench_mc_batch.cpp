@@ -1,6 +1,6 @@
 // Batched Monte-Carlo data-plane ablation: the scalar fT pipeline (one
-// FtExtractor per die, fresh circuit + pattern priming + symbolic
-// analysis per bisection evaluation) against spice::ReplicaBatch via
+// FtExtractor per die, one circuit + pattern priming + symbolic
+// analysis per die) against spice::ReplicaBatch via
 // BatchFtExtractor, with each speedup step measured on its own:
 //
 //   1. shared structure + SoA device evaluation (batched, but every

@@ -1,6 +1,7 @@
 #include "ahdl/system.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -71,9 +72,15 @@ void System::probe(const std::string& signal) {
 SimResult System::run(double tstop, double sampleRate, double recordFrom) {
   if (tstop <= 0.0 || sampleRate <= 0.0)
     throw Error("System::run: tstop and sampleRate must be > 0");
+  // Probe ids and trace pointers resolved once (map nodes are stable).
+  SimResult result;
+  result.sampleRate = sampleRate;
+  std::vector<std::pair<size_t, std::vector<double>*>> recorders;
   for (const auto& p : probes_) {
-    if (findSignal(p) < 0)
+    const int id = findSignal(p);
+    if (id < 0)
       throw Error("System::run: probed signal '" + p + "' does not exist");
+    recorders.emplace_back(static_cast<size_t>(id), &result.traces[p]);
   }
 
   static const obs::Counter runs = obs::counter("ahdl.runs");
@@ -85,29 +92,29 @@ SimResult System::run(double tstop, double sampleRate, double recordFrom) {
 
   const auto n = static_cast<size_t>(tstop * sampleRate);
   std::vector<double> values(static_cast<size_t>(signalCount()), 0.0);
-  std::vector<double> inBuf, outBuf;
-
-  SimResult result;
-  result.sampleRate = sampleRate;
-  for (const auto& p : probes_) result.traces[p];  // create entries
+  // One I/O buffer pair sized for the widest block; each block sees a
+  // span of its own arity.
+  size_t maxIn = 0, maxOut = 0;
+  for (const auto& b : blocks_) {
+    maxIn = std::max(maxIn, b.in.size());
+    maxOut = std::max(maxOut, b.out.size());
+  }
+  std::vector<double> inBuf(maxIn), outBuf(maxOut);
 
   const double dt = 1.0 / sampleRate;
   for (size_t k = 0; k < n; ++k) {
     const double t = static_cast<double>(k) * dt;
     for (auto& b : blocks_) {
-      inBuf.resize(b.in.size());
-      outBuf.resize(b.out.size());
       for (size_t i = 0; i < b.in.size(); ++i)
         inBuf[i] = values[static_cast<size_t>(b.in[i])];
-      b.block->step(inBuf, outBuf, t);
+      b.block->step(std::span<const double>(inBuf.data(), b.in.size()),
+                    std::span<double>(outBuf.data(), b.out.size()), t);
       for (size_t i = 0; i < b.out.size(); ++i)
         values[static_cast<size_t>(b.out[i])] = outBuf[i];
     }
     if (t >= recordFrom) {
       result.time.push_back(t);
-      for (const auto& p : probes_)
-        result.traces[p].push_back(
-            values[static_cast<size_t>(findSignal(p))]);
+      for (const auto& [id, trace] : recorders) trace->push_back(values[id]);
     }
   }
   // Flushed once: per-sample counter writes would dominate small blocks.

@@ -1,8 +1,8 @@
 #include "bjtgen/batchft.h"
 
-#include <cmath>
 #include <memory>
 
+#include "bjtgen/bias_search.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "spice/circuit.h"
@@ -65,89 +65,46 @@ void BatchFtExtractor::absorbBatchStats() {
   seen_ = bs;
 }
 
-void BatchFtExtractor::setVbe(int r, double vbe) {
-  vb_[static_cast<size_t>(r)]->setWaveform(
-      std::make_unique<sp::DcWaveform>(vbe));
-}
-
-std::vector<double> BatchFtExtractor::icAll() {
-  const auto res = batch_.op();
-  absorbBatchStats();
-  std::vector<double> ic(res.x.size());
-  for (size_t r = 0; r < res.x.size(); ++r) {
-    sp::Solution s(&res.x[r]);
-    ic[r] = -s.at(vc_[r]->branchId());
-  }
-  return ic;
-}
-
 std::vector<BatchFtPoint> BatchFtExtractor::measureAnalyticAt(double ic) {
-  if (ic <= 0.0) throw Error("FtExtractor: ic must be > 0");
+  const size_t R = static_cast<size_t>(batch_.replicaCount());
+  std::vector<BiasSearch> search;
+  search.reserve(R);
+  for (size_t r = 0; r < R; ++r)  // throws on ic <= 0
+    search.emplace_back(ic, estimateVbe(q_[r]->model(), ic));
   static const obs::Counter extractions =
       obs::counter("bjtgen.ft_extractions");
   extractions.add(batch_.replicaCount());
   obs::ScopedSpan span("bjtgen.ft_extract_batch", "bjtgen");
 
-  const size_t R = static_cast<size_t>(batch_.replicaCount());
+  // Masked lockstep: one batched operating point per step solves every
+  // still-searching die at its own trial Vbe. A die's search ends on its
+  // last solve, so its fT comes from that solve, as in the scalar
+  // measureAnalyticAt.
   std::vector<BatchFtPoint> out(R);
-  std::vector<double> lo(R, 0.3), hi(R, 1.15), vbe(R, 0.0);
-  std::vector<char> active(R, 0);
-
-  // Bracket check at the scalar endpoints, all dies at once.
-  for (size_t r = 0; r < R; ++r) setVbe(static_cast<int>(r), 0.3);
-  const std::vector<double> iLo = icAll();
-  for (size_t r = 0; r < R; ++r) setVbe(static_cast<int>(r), 1.15);
-  const std::vector<double> iHi = icAll();
-  for (size_t r = 0; r < R; ++r) {
-    if (ic <= iLo[r] || ic >= iHi[r]) {
-      out[r].ok = false;
-      out[r].error = "FtExtractor: target current out of bias range";
-    } else {
-      out[r].ok = true;
-      active[r] = 1;
-    }
-  }
-
-  // Masked lockstep bisection: each die walks the exact lo/hi/mid
-  // trajectory of the scalar solveBias; converged or failed dies stop
-  // updating but keep riding the block solves.
-  bool anyActive = false;
-  for (size_t r = 0; r < R; ++r) anyActive = anyActive || active[r];
-  for (int iter = 0; iter < 60 && anyActive; ++iter) {
+  std::vector<char> searching(R, 1);
+  for (size_t left = R; left > 0;) {
     for (size_t r = 0; r < R; ++r)
-      if (active[r]) setVbe(static_cast<int>(r), 0.5 * (lo[r] + hi[r]));
-    const std::vector<double> iMid = icAll();
-    anyActive = false;
+      if (searching[r])
+        vb_[r]->setWaveform(
+            std::make_unique<sp::DcWaveform>(search[r].next()));
+    const auto res = batch_.op(searching);
+    absorbBatchStats();
     for (size_t r = 0; r < R; ++r) {
-      if (!active[r]) continue;
-      const double mid = 0.5 * (lo[r] + hi[r]);
-      if (std::fabs(iMid[r] - ic) < 1e-3 * ic) {
-        vbe[r] = mid;
-        active[r] = 0;
+      if (!searching[r]) continue;
+      const sp::Solution s(&res.x[r]);
+      search[r].observe(-s.at(vc_[r]->branchId()));
+      if (!search[r].done()) continue;
+      searching[r] = 0;
+      --left;
+      if (search[r].outOfRange()) {
+        out[r].error = BiasSearch::kOutOfRangeError;
         continue;
       }
-      if (iMid[r] < ic)
-        lo[r] = mid;
-      else
-        hi[r] = mid;
-      anyActive = true;
+      out[r].ok = true;
+      out[r].point.ic = ic;
+      out[r].point.vbe = search[r].vbe();
+      out[r].point.ft = q_[r]->opInfo(s).ft();
     }
-  }
-  for (size_t r = 0; r < R; ++r)
-    if (active[r]) vbe[r] = 0.5 * (lo[r] + hi[r]);  // scalar 60-iter exit
-
-  // Final operating point at each die's converged Vbe; fT from the
-  // analytic formula on that op, exactly measureAnalyticAt's tail.
-  for (size_t r = 0; r < R; ++r)
-    setVbe(static_cast<int>(r), out[r].ok ? vbe[r] : 0.3);
-  const auto res = batch_.op();
-  absorbBatchStats();
-  for (size_t r = 0; r < R; ++r) {
-    if (!out[r].ok) continue;
-    sp::Solution s(&res.x[r]);
-    out[r].point.ic = ic;
-    out[r].point.vbe = vbe[r];
-    out[r].point.ft = q_[r]->opInfo(s).ft();
   }
   return out;
 }

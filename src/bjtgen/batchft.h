@@ -3,23 +3,23 @@
 // Monte-Carlo data plane behind the runner's `mc-ft` workload.
 //
 // The scalar path (FtExtractor::measureAnalyticAt) builds one bias cell
-// and Analyzer per die and moves its base source between the ~17
-// bisection operating points; it still pays one circuit construction,
+// and Analyzer per die and moves its base source between the few
+// BiasSearch operating points; it still pays one circuit construction,
 // pattern priming and symbolic analysis per die. A Monte-Carlo block
 // perturbs only the model card — the topology is the
 // same two-source/one-transistor cell for every die — so all of that
-// structure work is shared here through spice::ReplicaBatch, and the
-// bisection runs in masked lockstep: one batched operating point per
-// bisection step solves every still-active die at its own trial Vbe.
+// structure work is shared here through spice::ReplicaBatch, and each
+// die's BiasSearch runs in masked lockstep: one batched operating point
+// per step solves every still-searching die at its own trial Vbe.
 //
 // Bit-identity contract: for the same options, entry r of
 // measureAnalyticAt(ic) is bit-identical (ft, vbe hex-float equal) to
 // `FtExtractor(cards[r], vce, opts).measureAnalyticAt(ic)`, because
 // ReplicaBatch::op() reproduces the default Analyzer::op() bit-for-bit
-// and the per-die bisection trajectory (lo/hi/mid sequence, convergence
-// test) is the scalar code's. A die whose bias bracket rejects the target
-// reports ok = false with the scalar error text instead of throwing, so
-// one bad die does not take down the block.
+// and each die is driven by the same BiasSearch as the scalar solve. A
+// die whose target lies outside the bias range reports ok = false with
+// the scalar error text instead of throwing, so one bad die does not
+// take down the block.
 
 #include <string>
 #include <vector>
@@ -57,7 +57,7 @@ class BatchFtExtractor {
 
   int cardCount() const { return batch_.replicaCount(); }
 
-  /// Lockstep bisection for Vbe with ic(vbe) = ic, then fT from the
+  /// Lockstep BiasSearch for Vbe with ic(vbe) = ic, then fT from the
   /// operating-point formula — FtExtractor::measureAnalyticAt for every
   /// card at once. Throws on ic <= 0 (scalar contract); per-die bias
   /// bracket failures are reported in the outcome instead.
@@ -73,12 +73,8 @@ class BatchFtExtractor {
   void resetSolverStats() { stats_ = {}; }
 
  private:
-  /// One batched operating point; returns per-die collector current
-  /// (the -I(VC) readback of the scalar icAtVbe).
-  std::vector<double> icAll();
   /// Adds the batch counters accrued since the last call to stats_.
   void absorbBatchStats();
-  void setVbe(int r, double vbe);
 
   double vce_;
   spice::ReplicaBatch batch_;

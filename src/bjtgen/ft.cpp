@@ -5,6 +5,7 @@
 #include <optional>
 #include <vector>
 
+#include "bjtgen/bias_search.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "spice/analysis.h"
@@ -29,7 +30,8 @@ void FtExtractor::absorb(const spice::AnalyzerStats& s) const { stats_ += s; }
 /// Voltage-driven common-emitter bias cell: one circuit and one Analyzer
 /// for a whole measurement. The base source moves between operating
 /// points; Analyzer::op() starts every solve from a fresh factorization,
-/// so each point is bit-identical to a freshly built cell's.
+/// so each point is bit-identical to a freshly built cell's (and to
+/// BatchFtExtractor's solve of the same die).
 class FtExtractor::BiasCell {
  public:
   BiasCell(const spice::BjtModel& model, double vce,
@@ -65,27 +67,14 @@ class FtExtractor::BiasCell {
 };
 
 double FtExtractor::solveBias(BiasCell& cell, double icTarget) const {
-  if (icTarget <= 0.0) throw Error("FtExtractor: ic must be > 0");
-  auto icAt = [&](double vbe) {
-    cell.opAt(vbe);
+  BiasSearch search(icTarget, estimateVbe(model_, icTarget));
+  while (!search.done()) {
+    cell.opAt(search.next());
     absorb(cell.stats());
-    return cell.ic();
-  };
-  double lo = 0.3, hi = 1.15;
-  double iLo = icAt(lo);
-  double iHi = icAt(hi);
-  if (icTarget <= iLo || icTarget >= iHi)
-    throw Error("FtExtractor: target current out of bias range");
-  for (int iter = 0; iter < 60; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    const double iMid = icAt(mid);
-    if (std::fabs(iMid - icTarget) < 1e-3 * icTarget) return mid;
-    if (iMid < icTarget)
-      lo = mid;
-    else
-      hi = mid;
+    search.observe(cell.ic());
   }
-  return 0.5 * (lo + hi);
+  if (search.outOfRange()) throw Error(BiasSearch::kOutOfRangeError);
+  return search.vbe();
 }
 
 FtPoint FtExtractor::measureAt(double ic) const {
@@ -99,10 +88,8 @@ FtPoint FtExtractor::measureAt(double ic) const {
   BiasCell cell(model_, vce_, opts_);
   pt.vbe = solveBias(cell, ic);
 
-  // Current-driven base reproducing the same operating point: ib from a
-  // preliminary OP of the voltage-driven cell.
-  cell.opAt(pt.vbe);
-  absorb(cell.stats());
+  // Current-driven base reproducing the same operating point: ib from the
+  // voltage-driven cell's last solve, which is the one at pt.vbe.
   const double ib = cell.ib();
   if (ib <= 0.0) throw Error("FtExtractor: non-positive base current");
 
@@ -169,8 +156,6 @@ FtPoint FtExtractor::measureAnalyticAt(double ic) const {
   pt.ic = ic;
   BiasCell cell(model_, vce_, opts_);
   pt.vbe = solveBias(cell, ic);
-  cell.opAt(pt.vbe);
-  absorb(cell.stats());
   pt.ft = cell.ft();
   return pt;
 }
@@ -185,7 +170,7 @@ std::vector<FtPoint> FtExtractor::sweep(
 
 double FtExtractor::maxBiasCurrent() const {
   BiasCell cell(model_, vce_, opts_);
-  cell.opAt(1.15);
+  cell.opAt(BiasSearch::kVbeMax);
   return cell.ic();
 }
 

@@ -38,8 +38,8 @@ class FtExtractor {
   explicit FtExtractor(spice::BjtModel model, double vce = 2.0,
                        spice::AnalysisOptions opts = {});
 
-  /// Solves for the Vbe that produces collector current `ic` (bisection on
-  /// operating points), then extracts fT by the AC method.
+  /// Solves for the Vbe that produces collector current `ic` (a
+  /// BiasSearch over operating points), then extracts fT by the AC method.
   FtPoint measureAt(double ic) const;
 
   /// Same bias solve, but fT from the analytic operating-point formula.
@@ -65,7 +65,8 @@ class FtExtractor {
 
  private:
   class BiasCell;
-  /// Finds vbe with ic(vbe) = target by bisection on `cell`; returns vbe.
+  /// Finds vbe with ic(vbe) = target by a BiasSearch on `cell`; returns
+  /// vbe and leaves `cell` holding the operating point solved there.
   double solveBias(BiasCell& cell, double icTarget) const;
   /// Adds one internal Analyzer's counters to the accumulator.
   void absorb(const spice::AnalyzerStats& s) const;

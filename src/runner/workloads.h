@@ -71,7 +71,7 @@ std::vector<Job> monteCarloFtJobs(const bjtgen::Technology& nominal,
 /// blocks of `batchSize` (one Job per block, block-major: job b covers
 /// global dies [b*batchSize, min(dies, (b+1)*batchSize))) and each block
 /// is solved through one spice::ReplicaBatch — one pattern priming and
-/// symbolic analysis per block instead of per bisection evaluation.
+/// symbolic analysis per block instead of per die.
 ///
 /// Per-die results are bit-identical to the scalar pipeline run with the
 /// same AnalysisOptions: die d's card is drawn from

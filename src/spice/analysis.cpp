@@ -343,7 +343,7 @@ Analyzer::NewtonOutcome Analyzer::newtonInner(std::vector<double>& x,
                                               LoadContext& ctx) {
   NewtonOutcome out;
   const int n = unknownCount_;
-  std::vector<double> xNew(static_cast<size_t>(n), 0.0);
+  std::vector<double>& xNew = xNew_;  // every solve rewrites all n entries
 
   {
     Solution sx(&x);
@@ -415,7 +415,7 @@ Analyzer::NewtonOutcome Analyzer::newtonInner(std::vector<double>& x,
       fx_->recordIteration(maxDelta, worstRatio, worstUnknown, anyLimited,
                            /*singular=*/false);
     }
-    x = xNew;
+    x.swap(xNew);
     if (converged && iter > 0) {
       out.converged = true;
       return out;
@@ -785,7 +785,6 @@ TranResult Analyzer::transient(double tstop, double maxStep,
   const double hMin = maxStep * 1e-9;
   bool firstStep = true;
 
-  std::vector<double> xPrev = x;
   std::vector<double> dstate(static_cast<size_t>(stateCount_), 0.0);
 
   while (t < tstop - 1e-18) {
@@ -803,8 +802,8 @@ TranResult Analyzer::transient(double tstop, double maxStep,
       ctx.c0 = (useTrap ? 2.0 / (1.0 + d) : 1.0) / h;
       ctx.trapFactor = useTrap ? (1.0 - d) / (1.0 + d) : 0.0;
 
-      std::vector<double> xTry = x;  // predictor: previous value
-      const NewtonOutcome nw = newton(xTry, ctx);
+      xTry_ = x;  // predictor: previous value
+      const NewtonOutcome nw = newton(xTry_, ctx);
       if (fx_) fx_->recordStep(tNew, h, nw.converged, nw.iterations);
       if (nw.converged) {
         accepted = true;
@@ -817,8 +816,7 @@ TranResult Analyzer::transient(double tstop, double maxStep,
         }
         statePrev_ = state_;
         dstatePrev_ = dstate;
-        xPrev = x;
-        x = xTry;
+        x.swap(xTry_);
         t = tNew;
         firstStep = false;
         if (t >= recordFrom) {

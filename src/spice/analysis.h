@@ -286,6 +286,9 @@ class Analyzer {
   CsrPattern pat_;
   SparseLU<double> lu_;
   std::vector<double> vals_, staticVals_, rhs_, scratchRhs_;
+  // Newton's next iterate and transient's trial point, reused across
+  // solves and steps instead of allocated per call.
+  std::vector<double> xNew_, xTry_;
   std::vector<std::pair<int, int>> pending_;
   bool staticValid_ = false;
   std::uint64_t staticEpoch_ = 0;

@@ -358,7 +358,12 @@ inline double solutionAt(const double* x, int id) {
 }  // namespace
 
 ReplicaBatch::OpResult ReplicaBatch::op() {
+  return op(std::vector<char>(circuits_.size(), 1));
+}
+
+ReplicaBatch::OpResult ReplicaBatch::op(const std::vector<char>& solve) {
   const size_t R = circuits_.size();
+  if (solve.size() != R) throw Error("ReplicaBatch::op: mask size mismatch");
   const int n = unknownCount_;
   const AnalysisOptions& ao = opts_.analysis;
   const double t0 = obs::metricsEnabled() ? nowNs() : 0.0;
@@ -367,13 +372,15 @@ ReplicaBatch::OpResult ReplicaBatch::op() {
   OpResult out;
   out.iterations.assign(R, 0);
   out.fellBack.assign(R, 0);
-  std::vector<char> active(R, 1);
+  std::vector<char> active = solve;
   std::vector<char> needFallback(R, 0);
 
   // Per-op reset: x = 0 start, numeric factorizations discarded so the
   // first iteration full-factors (the fresh-Analyzer pivot sequence),
   // limiting histories seeded from x = 0 (all junction voltages 0).
   for (size_t r = 0; r < R; ++r) {
+    if (!active[r]) continue;
+    ++stats_.replicaSolves;
     std::fill(x_[r].begin(), x_[r].end(), 0.0);
     std::fill(xNew_[r].begin(), xNew_[r].end(), 0.0);
     lu_[r]->resetNumeric();
@@ -397,7 +404,8 @@ ReplicaBatch::OpResult ReplicaBatch::op() {
 
   std::vector<char> limited(R, 0);
   const int nodeCount = circuits_[0]->nodeCount();
-  bool anyActive = true;
+  bool anyActive =
+      std::any_of(active.begin(), active.end(), [](char a) { return a; });
 
   for (int iter = 0; iter < ao.maxNewtonIters && anyActive; ++iter) {
     // --- Phase 1: SoA evaluation of every nonlinear device across all
@@ -597,6 +605,7 @@ ReplicaBatch::OpResult ReplicaBatch::op() {
 void ReplicaBatch::publishStats() {
   const BatchStats d{
       stats_.ops - published_.ops,
+      stats_.replicaSolves - published_.replicaSolves,
       stats_.newtonIterations - published_.newtonIterations,
       stats_.matrixSolves - published_.matrixSolves,
       stats_.fullFactors - published_.fullFactors,
@@ -615,7 +624,7 @@ void ReplicaBatch::publishStats() {
   static const obs::Counter cCollapse =
       obs::counter("spice.batch.pivot_collapses");
   static const obs::Counter cFallback = obs::counter("spice.batch.fallbacks");
-  cReplicas.add(d.ops * static_cast<long>(circuits_.size()));
+  cReplicas.add(d.replicaSolves);
   cNewton.add(d.newtonIterations);
   cFull.add(d.fullFactors);
   cRefactor.add(d.refactors);

@@ -61,6 +61,7 @@ namespace ahfic::spice {
 /// `spice.batch.*`.
 struct BatchStats {
   long ops = 0;               ///< batched op() calls
+  long replicaSolves = 0;     ///< replicas solved, summed over op() calls
   long newtonIterations = 0;  ///< summed over replicas
   long matrixSolves = 0;      ///< factor+solve passes, summed
   long fullFactors = 0;       ///< pivoting factorizations
@@ -107,6 +108,12 @@ class ReplicaBatch {
     std::vector<char> fellBack;          ///< solved via full Analyzer::op()
   };
   OpResult op();
+  /// Masked operating point: solves only the replicas with solve[r] != 0
+  /// (solve.size() == replicaCount()). A skipped replica does no work,
+  /// reports 0 iterations and keeps in x[r] the solution of its last
+  /// solve (zeros before any). Each solved replica's result is the same
+  /// as from op().
+  OpResult op(const std::vector<char>& solve);
 
   const BatchStats& stats() const { return stats_; }
   const Options& options() const { return opts_; }

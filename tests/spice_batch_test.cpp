@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -74,14 +75,15 @@ std::unique_ptr<sp::Circuit> diodeCell(const sp::DiodeModel& m, double vs) {
   return ckt;
 }
 
-std::vector<sp::BjtModel> perturbedCards(int count, std::uint64_t seed) {
+std::vector<sp::BjtModel> perturbedCards(int count, std::uint64_t seed,
+                                         const char* shape = "N1.2-6S") {
   std::vector<sp::BjtModel> cards;
   cards.reserve(static_cast<size_t>(count));
   const bg::Technology nominal = bg::defaultTechnology();
   const bg::ProcessVariation var;
   for (int d = 0; d < count; ++d) {
     const auto gen = bg::dieGenerator(nominal, var, seed + d);
-    cards.push_back(gen.generate("N1.2-6S"));
+    cards.push_back(gen.generate(shape));
   }
   return cards;
 }
@@ -236,20 +238,73 @@ TEST(SparseLuBatchTest, PivotCollapseReplayFallsBackToFullFactor) {
 }
 
 TEST(BatchFtExtractorTest, BitIdenticalToScalarFtExtractor) {
-  const auto cards = perturbedCards(6, 424242);
-  const double ic = 1e-3;
-  bg::BatchFtExtractor bx(cards, 2.0);
-  const auto batched = bx.measureAnalyticAt(ic);
-  ASSERT_EQ(batched.size(), cards.size());
-  for (size_t r = 0; r < cards.size(); ++r) {
-    const bg::FtExtractor fx(cards[r], 2.0);
-    const auto scalar = fx.measureAnalyticAt(ic);
-    ASSERT_TRUE(batched[r].ok) << batched[r].error;
-    EXPECT_EQ(hexFloat(scalar.vbe), hexFloat(batched[r].point.vbe))
-        << "die " << r;
-    EXPECT_EQ(hexFloat(scalar.ft), hexFloat(batched[r].point.ft))
-        << "die " << r;
+  // N1.2-6S at 1 mA, then N1.2-12D (which reaches ~38 mA) at a low, mid
+  // and high current: each die runs its own BiasSearch, so dies finish
+  // at different trial counts and ride the masked lockstep for different
+  // numbers of block solves.
+  struct Block {
+    const char* shape;
+    std::vector<double> currents;
+  };
+  const Block blocks[] = {{"N1.2-6S", {1e-3}},
+                          {"N1.2-12D", {0.05e-3, 3e-3, 15e-3}}};
+  bool mixedTrialCounts = false;  // some block call masks dies early
+  for (const Block& block : blocks) {
+    const auto cards = perturbedCards(6, 424242, block.shape);
+    bg::BatchFtExtractor bx(cards, 2.0);
+    for (const double ic : block.currents) {
+      const auto batched = bx.measureAnalyticAt(ic);
+      ASSERT_EQ(batched.size(), cards.size());
+      std::vector<long> trialCounts;
+      for (size_t r = 0; r < cards.size(); ++r) {
+        const std::string where = std::string(block.shape) + " ic=" +
+                                  hexFloat(ic) + " die " + std::to_string(r);
+        const bg::FtExtractor fx(cards[r], 2.0);
+        const auto scalar = fx.measureAnalyticAt(ic);
+        // One full factorization per scalar op(): the die's trial count.
+        trialCounts.push_back(fx.solverStats().sparseFullFactors);
+        ASSERT_TRUE(batched[r].ok) << where << ": " << batched[r].error;
+        EXPECT_EQ(hexFloat(scalar.vbe), hexFloat(batched[r].point.vbe))
+            << where;
+        EXPECT_EQ(hexFloat(scalar.ft), hexFloat(batched[r].point.ft))
+            << where;
+      }
+      const auto [fewest, most] =
+          std::minmax_element(trialCounts.begin(), trialCounts.end());
+      mixedTrialCounts = mixedTrialCounts || *fewest < *most;
+    }
   }
+  EXPECT_TRUE(mixedTrialCounts) << "all dies of every call took the same "
+                                   "number of trials";
+}
+
+TEST(ReplicaBatchTest, MaskedOpSolvesOnlySelectedReplicas) {
+  const auto cards = perturbedCards(4, 77);
+  std::vector<std::unique_ptr<sp::Circuit>> replicas;
+  for (const auto& card : cards) replicas.push_back(biasCell(card, 0.7, 2.0));
+  sp::ReplicaBatch batch(std::move(replicas));
+  const auto first = batch.op();
+
+  for (int r = 0; r < batch.replicaCount(); ++r)
+    dynamic_cast<sp::VSource*>(batch.circuit(r).findDevice("VB"))
+        ->setWaveform(std::make_unique<sp::DcWaveform>(0.8));
+  const long solvesBefore = batch.stats().replicaSolves;
+  const auto masked = batch.op({0, 1, 0, 1});
+  EXPECT_EQ(batch.stats().replicaSolves - solvesBefore, 2);
+  for (size_t r = 0; r < cards.size(); ++r) {
+    if (r % 2 == 0) {
+      // Skipped: no work, last solution kept.
+      EXPECT_EQ(masked.iterations[r], 0);
+      expectBitIdentical(first.x[r], masked.x[r],
+                         "skipped replica " + std::to_string(r));
+    } else {
+      auto scalarCkt = biasCell(cards[r], 0.8, 2.0);
+      sp::Analyzer an(*scalarCkt);
+      expectBitIdentical(an.op(), masked.x[r],
+                         "solved replica " + std::to_string(r));
+    }
+  }
+  EXPECT_THROW(batch.op({1, 1}), ahfic::Error);
 }
 
 TEST(BatchFtExtractorTest, OutOfRangeDieReportsScalarErrorWithoutThrowing) {

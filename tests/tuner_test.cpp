@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
 #include "tuner/doublesuper.h"
 #include "tuner/irr.h"
@@ -139,6 +140,22 @@ INSTANTIATE_TEST_SUITE_P(
     Fig5Grid, IrrGridTest,
     ::testing::Combine(::testing::Values(0.0, 2.0, 6.0, 10.0),
                        ::testing::Values(0.01, 0.05, 0.09)));
+
+TEST(Irr, Fig5PointIsBitIdentical) {
+#if defined(AHFIC_NATIVE_ARCH_BUILD)
+  GTEST_SKIP() << "-march=native may contract multiply-adds into FMA, "
+                  "which moves the pinned hex-float value by ulps";
+#endif
+  // One Fig. 5 grid point to the last bit: an AHDL engine change that
+  // claims to be bit-identical must leave it untouched.
+  tn::ImageRejectImpairments imp;
+  imp.loPhaseErrorDeg = 3.0;
+  imp.gainImbalance = 0.05;
+  const double irr = tn::simulateImageRejectionDb(imp);
+  char hex[40];
+  std::snprintf(hex, sizeof hex, "%a", irr);
+  EXPECT_STREQ(hex, "0x1.d1a1271b88f34p+4");
+}
 
 TEST(Irr, ShifterErrorEquivalentToLoError) {
   // A 90-degree-shifter error and an LO quadrature error of the same size
