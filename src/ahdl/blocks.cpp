@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/error.h"
+#include "util/restrict.h"
 #include "util/units.h"
 
 namespace ahfic::ahdl {
@@ -24,6 +25,44 @@ SineSource::SineSource(std::string name, double freqHz, double amplitude,
 void SineSource::step(std::span<const double>, std::span<double> out,
                       double t) {
   out[0] = offset_ + amp_ * std::sin(kTwoPi * freq_ * t + phaseRad_);
+}
+
+void SineSource::stepFrame(std::span<const double* const> in,
+                           std::span<double* const> out,
+                           std::span<const double> t) {
+  Block* self = this;
+  const FrameIo io{in, out};
+  stepLanes({&self, 1}, {&io, 1}, t);
+}
+
+void SineSource::stepLanes(std::span<Block* const> lanes,
+                           std::span<const FrameIo> io,
+                           std::span<const double> t) {
+  // Lanes with equal frequency and phase share one sin per sample: the
+  // first of them (the leader) holds the raw sine in its output until
+  // every follower has applied its own offset and amplitude to it.
+  auto lane = [&](size_t l) { return static_cast<SineSource*>(lanes[l]); };
+  auto sameTone = [&](size_t a, size_t b) {
+    return lane(a)->freq_ == lane(b)->freq_ &&
+           lane(a)->phaseRad_ == lane(b)->phaseRad_;
+  };
+  for (size_t l = 0; l < lanes.size(); ++l) {
+    bool follower = false;
+    for (size_t j = 0; j < l && !follower; ++j) follower = sameTone(j, l);
+    if (follower) continue;
+    const SineSource& lead = *lane(l);
+    double* AHFIC_RESTRICT raw = io[l].out[0];
+    for (size_t k = 0; k < t.size(); ++k)
+      raw[k] = std::sin(kTwoPi * lead.freq_ * t[k] + lead.phaseRad_);
+    for (size_t j = l + 1; j < lanes.size(); ++j) {
+      if (!sameTone(l, j)) continue;
+      const double off = lane(j)->offset_, amp = lane(j)->amp_;
+      double* AHFIC_RESTRICT y = io[j].out[0];
+      for (size_t k = 0; k < t.size(); ++k) y[k] = off + amp * raw[k];
+    }
+    for (size_t k = 0; k < t.size(); ++k)
+      raw[k] = lead.offset_ + lead.amp_ * raw[k];
+  }
 }
 
 DcSource::DcSource(std::string name, double value)
@@ -52,11 +91,33 @@ void Amplifier::step(std::span<const double> in, std::span<double> out,
   out[0] = (vsat_ > 0.0) ? vsat_ * std::tanh(x / vsat_) : x;
 }
 
+void Amplifier::stepFrame(std::span<const double* const> in,
+                          std::span<double* const> out,
+                          std::span<const double> t) {
+  const double* AHFIC_RESTRICT x = in[0];
+  double* AHFIC_RESTRICT y = out[0];
+  if (vsat_ > 0.0) {
+    for (size_t k = 0; k < t.size(); ++k)
+      y[k] = vsat_ * std::tanh(gain_ * x[k] / vsat_);
+  } else {
+    for (size_t k = 0; k < t.size(); ++k) y[k] = gain_ * x[k];
+  }
+}
+
 Mixer::Mixer(std::string name, double gain)
     : Block(std::move(name), 2, 1), gain_(gain) {}
 
 void Mixer::step(std::span<const double> in, std::span<double> out, double) {
   out[0] = gain_ * in[0] * in[1];
+}
+
+void Mixer::stepFrame(std::span<const double* const> in,
+                      std::span<double* const> out,
+                      std::span<const double> t) {
+  const double* a = in[0];
+  const double* b = in[1];  // may be the same signal as a
+  double* AHFIC_RESTRICT y = out[0];
+  for (size_t k = 0; k < t.size(); ++k) y[k] = gain_ * a[k] * b[k];
 }
 
 Adder::Adder(std::string name, int nInputs)
@@ -77,6 +138,19 @@ void Adder::step(std::span<const double> in, std::span<double> out, double) {
   out[0] = s;
 }
 
+void Adder::stepFrame(std::span<const double* const> in,
+                      std::span<double* const> out,
+                      std::span<const double> t) {
+  // Input-major, but each sample still sums 0.0 + w0*x0 + w1*x1 + ...
+  double* AHFIC_RESTRICT y = out[0];
+  std::fill(y, y + t.size(), 0.0);
+  for (size_t i = 0; i < weights_.size(); ++i) {
+    const double w = weights_[i];
+    const double* AHFIC_RESTRICT x = in[i];
+    for (size_t k = 0; k < t.size(); ++k) y[k] += w * x[k];
+  }
+}
+
 QuadratureOscillator::QuadratureOscillator(std::string name, double freqHz,
                                            double amplitude,
                                            double phaseErrorDeg,
@@ -95,6 +169,41 @@ void QuadratureOscillator::step(std::span<const double>,
   const double w = kTwoPi * freq_ * t;
   out[0] = amp_ * std::cos(w);
   out[1] = amp_ * (1.0 + gainImb_) * std::sin(w + phaseErrRad_);
+}
+
+void QuadratureOscillator::stepFrame(std::span<const double* const>,
+                                     std::span<double* const> out,
+                                     std::span<const double> t) {
+  double* AHFIC_RESTRICT i = out[0];
+  double* AHFIC_RESTRICT q = out[1];
+  for (size_t k = 0; k < t.size(); ++k) {
+    const double w = kTwoPi * freq_ * t[k];
+    i[k] = amp_ * std::cos(w);
+    q[k] = amp_ * (1.0 + gainImb_) * std::sin(w + phaseErrRad_);
+  }
+}
+
+void QuadratureOscillator::stepLanes(std::span<Block* const> lanes,
+                                     std::span<const FrameIo> io,
+                                     std::span<const double> t) {
+  // A lane equal to an earlier one copies that lane's outputs.
+  auto lane = [&](size_t l) {
+    return static_cast<const QuadratureOscillator*>(lanes[l]);
+  };
+  for (size_t l = 0; l < lanes.size(); ++l) {
+    size_t src = l;
+    for (size_t j = 0; j < l && src == l; ++j)
+      if (lane(j)->freq_ == lane(l)->freq_ && lane(j)->amp_ == lane(l)->amp_ &&
+          lane(j)->phaseErrRad_ == lane(l)->phaseErrRad_ &&
+          lane(j)->gainImb_ == lane(l)->gainImb_)
+        src = j;
+    if (src == l) {
+      lanes[l]->stepFrame(io[l].in, io[l].out, t);
+      continue;
+    }
+    for (size_t p = 0; p < 2; ++p)
+      std::copy(io[src].out[p], io[src].out[p] + t.size(), io[l].out[p]);
+  }
 }
 
 PhaseShifter90::PhaseShifter90(std::string name, double centerFreqHz,
@@ -127,6 +236,24 @@ void PhaseShifter90::step(std::span<const double> in, std::span<double> out,
   const size_t i1 = (head_ + n - intDelay_ - 1) % n;
   out[0] = (1.0 - frac_) * line_[i0] + frac_ * line_[i1];
   head_ = (head_ + 1) % n;
+}
+
+void PhaseShifter90::stepFrame(std::span<const double* const> in,
+                               std::span<double* const> out,
+                               std::span<const double> t) {
+  // step() with the ring indices advanced instead of recomputed.
+  const double* AHFIC_RESTRICT x = in[0];
+  double* AHFIC_RESTRICT y = out[0];
+  const size_t n = line_.size();
+  size_t i0 = (head_ + n - intDelay_) % n;
+  size_t i1 = (head_ + n - intDelay_ - 1) % n;
+  for (size_t k = 0; k < t.size(); ++k) {
+    line_[head_] = x[k];
+    y[k] = (1.0 - frac_) * line_[i0] + frac_ * line_[i1];
+    if (++head_ == n) head_ = 0;
+    if (++i0 == n) i0 = 0;
+    if (++i1 == n) i1 = 0;
+  }
 }
 
 FilterBlock::FilterBlock(std::string name, BiquadChain chain)
@@ -167,6 +294,12 @@ void FilterBlock::prepare(double sampleRate) {
 void FilterBlock::step(std::span<const double> in, std::span<double> out,
                        double) {
   out[0] = chain_.process(in[0]);
+}
+
+void FilterBlock::stepFrame(std::span<const double* const> in,
+                            std::span<double* const> out,
+                            std::span<const double> t) {
+  chain_.processFrame(in[0], out[0], t.size());
 }
 
 Limiter::Limiter(std::string name, double level)

@@ -22,6 +22,11 @@ class SineSource final : public Block {
              double phaseDeg = 0.0, double offset = 0.0);
   void step(std::span<const double> in, std::span<double> out,
             double t) override;
+  void stepFrame(std::span<const double* const> in,
+                 std::span<double* const> out,
+                 std::span<const double> t) override;
+  void stepLanes(std::span<Block* const> lanes, std::span<const FrameIo> io,
+                 std::span<const double> t) override;
 
  private:
   double freq_, amp_, phaseRad_, offset_;
@@ -57,6 +62,9 @@ class Amplifier final : public Block {
   Amplifier(std::string name, double gain, double vsat = 0.0);
   void step(std::span<const double> in, std::span<double> out,
             double t) override;
+  void stepFrame(std::span<const double* const> in,
+                 std::span<double* const> out,
+                 std::span<const double> t) override;
   double gain() const { return gain_; }
   void setGain(double g) { gain_ = g; }
 
@@ -70,6 +78,9 @@ class Mixer final : public Block {
   Mixer(std::string name, double gain = 1.0);
   void step(std::span<const double> in, std::span<double> out,
             double t) override;
+  void stepFrame(std::span<const double* const> in,
+                 std::span<double* const> out,
+                 std::span<const double> t) override;
 
  private:
   double gain_;
@@ -82,6 +93,9 @@ class Adder final : public Block {
   Adder(std::string name, std::vector<double> weights);
   void step(std::span<const double> in, std::span<double> out,
             double t) override;
+  void stepFrame(std::span<const double* const> in,
+                 std::span<double* const> out,
+                 std::span<const double> t) override;
 
  private:
   std::vector<double> weights_;
@@ -97,6 +111,11 @@ class QuadratureOscillator final : public Block {
                        double gainImbalance = 0.0);
   void step(std::span<const double> in, std::span<double> out,
             double t) override;
+  void stepFrame(std::span<const double* const> in,
+                 std::span<double* const> out,
+                 std::span<const double> t) override;
+  void stepLanes(std::span<Block* const> lanes, std::span<const FrameIo> io,
+                 std::span<const double> t) override;
 
  private:
   double freq_, amp_, phaseErrRad_, gainImb_;
@@ -114,6 +133,9 @@ class PhaseShifter90 final : public Block {
   bool hasMemory() const override { return true; }
   void step(std::span<const double> in, std::span<double> out,
             double t) override;
+  void stepFrame(std::span<const double* const> in,
+                 std::span<double* const> out,
+                 std::span<const double> t) override;
 
  private:
   double centerFreq_, errorDeg_;
@@ -143,6 +165,9 @@ class FilterBlock final : public Block {
   bool hasMemory() const override { return true; }
   void step(std::span<const double> in, std::span<double> out,
             double t) override;
+  void stepFrame(std::span<const double* const> in,
+                 std::span<double* const> out,
+                 std::span<const double> t) override;
 
  private:
   BiquadChain chain_;

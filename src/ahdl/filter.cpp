@@ -1,5 +1,6 @@
 #include "ahdl/filter.h"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 
@@ -19,6 +20,23 @@ double BiquadChain::process(double x) {
   for (size_t i = 0; i < sections_.size(); ++i)
     x = sections_[i].process(x, z1_[i], z2_[i]);
   return x;
+}
+
+void BiquadChain::processFrame(const double* in, double* out, size_t n) {
+  if (sections_.empty()) {
+    std::copy(in, in + n, out);
+    return;
+  }
+  // Each section sees the same input sequence as in sample-major order,
+  // so its state registers evolve identically.
+  for (size_t i = 0; i < sections_.size(); ++i) {
+    const Biquad s = sections_[i];
+    const double* x = i == 0 ? in : out;
+    double z1 = z1_[i], z2 = z2_[i];
+    for (size_t k = 0; k < n; ++k) out[k] = s.process(x[k], z1, z2);
+    z1_[i] = z1;
+    z2_[i] = z2;
+  }
 }
 
 void BiquadChain::reset() {

@@ -30,6 +30,9 @@ class BiquadChain {
 
   /// Filters one sample through the cascade.
   double process(double x);
+  /// Filters `n` samples; bit-identical to calling process() on each.
+  /// Runs section by section; `out` may equal `in`.
+  void processFrame(const double* in, double* out, size_t n);
   /// Clears the state registers.
   void reset();
 

@@ -8,6 +8,20 @@
 // so a signal read before its producer has run this step carries the
 // previous step's value (an implicit unit delay, which is also how
 // feedback loops are closed).
+//
+// A run compiles the block list into a static schedule that keeps exactly
+// those semantics. A block that reads a signal written by itself or by a
+// later-declared block opens a per-sample segment reaching that producer;
+// overlapping segments merge, and a signal with several writers puts all
+// of them in one. Inside a segment the blocks step sample by sample in
+// declaration order. Every other block computes a whole frame of samples
+// per call (Block::stepFrame), which is bit-identical because all its
+// inputs are complete for the frame before it runs.
+//
+// runLanes() runs several systems of the same topology (lanes) through
+// one schedule: each frame-scheduled block steps all lanes in one call
+// (Block::stepLanes), so sources with equal parameters compute their
+// waveform once. System::run is the one-lane call.
 
 #include <map>
 #include <memory>
@@ -38,6 +52,28 @@ class Block {
   /// Computes one output sample per output port at time `t`.
   virtual void step(std::span<const double> in, std::span<double> out,
                     double t) = 0;
+
+  /// Computes one frame: `in[p]` and `out[p]` point at port p's samples
+  /// for the frame's sample times `t` (t.size() samples). The engine
+  /// never lets an output alias an input or another output here. The
+  /// default loops step() over the samples.
+  virtual void stepFrame(std::span<const double* const> in,
+                         std::span<double* const> out,
+                         std::span<const double> t);
+
+  /// One lane's port pointers for stepLanes.
+  struct FrameIo {
+    std::span<const double* const> in;
+    std::span<double* const> out;
+  };
+
+  /// Steps this block's counterparts in several lanes over one frame:
+  /// `lanes[l]` (same dynamic type as this; lanes[0] is this) with the
+  /// ports `io[l]`. The default runs each lane's stepFrame; sources
+  /// override it to compute what lanes with equal parameters share once.
+  virtual void stepLanes(std::span<Block* const> lanes,
+                         std::span<const FrameIo> io,
+                         std::span<const double> t);
 
   /// True for blocks whose output depends on past samples (delay lines,
   /// filter registers, accumulated phase, hysteresis). Memoryless blocks
@@ -111,10 +147,15 @@ class System {
   const std::vector<std::string>& probes() const { return probes_; }
 
   /// Simulates [0, tstop) at `sampleRate`, recording probed signals.
-  /// `recordFrom` discards earlier samples (filter settling).
+  /// `recordFrom` discards earlier samples (filter settling). The
+  /// one-lane call of runLanes.
   SimResult run(double tstop, double sampleRate, double recordFrom = 0.0);
 
  private:
+  friend std::vector<SimResult> runLanes(std::span<System* const> lanes,
+                                         double tstop, double sampleRate,
+                                         double recordFrom);
+
   struct Binding {
     std::unique_ptr<Block> block;
     std::vector<int> in;
@@ -125,5 +166,13 @@ class System {
   std::vector<Binding> blocks_;
   std::vector<std::string> probes_;
 };
+
+/// Simulates several systems as lanes of one pass and returns one result
+/// per lane, each bit-identical to that system's own run(). Throws
+/// ahfic::Error unless the lanes are distinct systems whose block types,
+/// wiring and probes match.
+std::vector<SimResult> runLanes(std::span<System* const> lanes,
+                                double tstop, double sampleRate,
+                                double recordFrom = 0.0);
 
 }  // namespace ahfic::ahdl

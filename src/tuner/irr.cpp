@@ -1,6 +1,8 @@
 #include "tuner/irr.h"
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "util/error.h"
 #include "util/fft.h"
@@ -19,39 +21,34 @@ double analyticImageRejectionDb(double phaseErrorDeg, double gainImbalance) {
   return 10.0 * std::log10(num / den);
 }
 
-namespace {
-
-/// Runs the Fig. 4 chain with the given stimulus and returns the 2nd-IF
-/// tone amplitude.
-double secondIfAmplitude(const ImageRejectImpairments& imp,
-                         const IrrSimOptions& opts, bool imageOnly) {
-  ahdl::System sys;
-  TunerStimulus stim;
-  stim.rfTuned = opts.rfTuned;
-  // Both runs keep both sources (identical topology); the inactive tone
-  // gets a vanishing amplitude instead of being removed.
-  stim.tunedAmplitude = imageOnly ? 1e-30 : 1.0;
-  stim.imageAmplitude = imageOnly ? 1.0 : 1e-30;
-
-  const auto signals = buildImageRejectTuner(sys, opts.plan, stim, imp);
-  sys.probe(signals.secondIf);
-
-  const double fs = recommendedSampleRate(opts.plan, stim);
-  const auto res = sys.run(opts.settleSeconds + opts.measureSeconds, fs,
-                           opts.settleSeconds);
-  return util::toneAmplitude(res.trace(signals.secondIf), fs,
-                             opts.plan.if2);
-}
-
-}  // namespace
-
 double simulateImageRejectionDb(const ImageRejectImpairments& imp,
                                 const IrrSimOptions& opts) {
-  const double wanted = secondIfAmplitude(imp, opts, /*imageOnly=*/false);
-  const double image = secondIfAmplitude(imp, opts, /*imageOnly=*/true);
-  if (wanted <= 0.0) throw Error("simulateImageRejectionDb: no output");
-  if (image <= 0.0) return 200.0;
-  return 20.0 * std::log10(wanted / image);
+  // Lane 0 carries the wanted tone, lane 1 the image. Both keep both
+  // sources (identical topology); the inactive tone gets a vanishing
+  // amplitude instead of being removed, so the lanes share every sine.
+  TunerStimulus stim;
+  stim.rfTuned = opts.rfTuned;
+  std::string secondIf;
+  auto build = [&](ahdl::System& sys, bool imageOnly) {
+    stim.tunedAmplitude = imageOnly ? 1e-30 : 1.0;
+    stim.imageAmplitude = imageOnly ? 1.0 : 1e-30;
+    secondIf = buildImageRejectTuner(sys, opts.plan, stim, imp).secondIf;
+    sys.probe(secondIf);
+  };
+  ahdl::System wanted, image;
+  build(wanted, false);
+  build(image, true);
+
+  ahdl::System* const lanes[] = {&wanted, &image};
+  const double fs = recommendedSampleRate(opts.plan, stim);
+  const double tstop = opts.settleSeconds + opts.measureSeconds;
+  const auto res = ahdl::runLanes(lanes, tstop, fs, opts.settleSeconds);
+  const std::vector<double>* traces[] = {&res[0].trace(secondIf),
+                                         &res[1].trace(secondIf)};
+  const auto amps = util::toneAmplitudes(traces, fs, opts.plan.if2);
+  if (amps[0] <= 0.0) throw Error("simulateImageRejectionDb: no output");
+  if (amps[1] <= 0.0) return 200.0;
+  return 20.0 * std::log10(amps[0] / amps[1]);
 }
 
 IrrYieldResult irrYield(double sigmaPhaseDeg, double sigmaGain,

@@ -7,9 +7,10 @@
 //    mixer with gain imbalance g and total quadrature phase error phi:
 //        IRR = (1 + 2(1+g)cos(phi) + (1+g)^2) /
 //              (1 - 2(1+g)cos(phi) + (1+g)^2)        [power ratio]
-//  * simulated: run the Fig. 4 behavioural tuner twice (wanted-only and
-//    image-only stimulus) and compare the 2nd-IF tone amplitudes — this is
-//    the experiment the paper ran in its AHDL simulator.
+//  * simulated: run the Fig. 4 behavioural tuner with wanted-only and
+//    image-only stimulus (two lanes of one AHDL pass) and compare the
+//    2nd-IF tone amplitudes — this is the experiment the paper ran in its
+//    AHDL simulator.
 
 #include <cstdint>
 #include <vector>
@@ -30,7 +31,9 @@ struct IrrSimOptions {
   double settleSeconds = 0.6e-6;    ///< filter/start-up discard
 };
 
-/// Time-domain IRR in dB via two runs of the Fig. 4 chain.
+/// Time-domain IRR in dB: the wanted-only and image-only Fig. 4 chains
+/// run as two lanes of one pass (ahdl::runLanes), bit-identical to two
+/// separate runs.
 double simulateImageRejectionDb(const ImageRejectImpairments& imp,
                                 const IrrSimOptions& opts = {});
 

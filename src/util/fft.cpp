@@ -124,25 +124,45 @@ std::vector<SpectralPeak> findPeaks(const std::vector<SpectrumBin>& spectrum,
   return peaks;
 }
 
-double toneAmplitude(const std::vector<double>& signal, double sampleRate,
-                     double frequency) {
-  if (signal.size() < 8) throw Error("toneAmplitude: too few samples");
+std::vector<double> toneAmplitudes(
+    std::span<const std::vector<double>* const> signals, double sampleRate,
+    double frequency) {
+  if (signals.empty()) throw Error("toneAmplitudes: no signals");
+  const size_t n = signals[0]->size();
+  for (const auto* s : signals)
+    if (s->size() != n) throw Error("toneAmplitudes: unequal lengths");
+  if (n < 8) throw Error("toneAmplitude: too few samples");
   if (sampleRate <= 0.0 || frequency <= 0.0 ||
       frequency >= sampleRate / 2.0)
     throw Error("toneAmplitude: frequency out of range");
-  const size_t n = signal.size();
-  double re = 0.0, im = 0.0, gain = 0.0;
+  // Window and twiddles are computed once per sample for all signals;
+  // each signal keeps its own re/im accumulation order.
+  std::vector<double> re(signals.size(), 0.0), im(signals.size(), 0.0);
+  double gain = 0.0;
   for (size_t k = 0; k < n; ++k) {
     const double x = static_cast<double>(k) / static_cast<double>(n - 1);
     const double w = 0.5 - 0.5 * std::cos(constants::kTwoPi * x);
     gain += w;
     const double ph =
         constants::kTwoPi * frequency * static_cast<double>(k) / sampleRate;
-    re += signal[k] * w * std::cos(ph);
-    im += signal[k] * w * std::sin(ph);
+    const double c = std::cos(ph), s = std::sin(ph);
+    for (size_t i = 0; i < signals.size(); ++i) {
+      const double v = (*signals[i])[k];
+      re[i] += v * w * c;
+      im[i] += v * w * s;
+    }
   }
   // Single-sided amplitude: correlation recovers A/2 * sum(w).
-  return 2.0 * std::sqrt(re * re + im * im) / gain;
+  std::vector<double> amps(signals.size());
+  for (size_t i = 0; i < signals.size(); ++i)
+    amps[i] = 2.0 * std::sqrt(re[i] * re[i] + im[i] * im[i]) / gain;
+  return amps;
+}
+
+double toneAmplitude(const std::vector<double>& signal, double sampleRate,
+                     double frequency) {
+  const std::vector<double>* one = &signal;
+  return toneAmplitudes({&one, 1}, sampleRate, frequency)[0];
 }
 
 double amplitudeNear(const std::vector<SpectrumBin>& spectrum,

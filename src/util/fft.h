@@ -6,6 +6,7 @@
 // dependency.
 
 #include <complex>
+#include <span>
 #include <vector>
 
 namespace ahfic::util {
@@ -59,5 +60,12 @@ double amplitudeNear(const std::vector<SpectrumBin>& spectrum,
 /// image-rejection measurement needs.
 double toneAmplitude(const std::vector<double>& signal, double sampleRate,
                      double frequency);
+
+/// toneAmplitude of several equal-length signals at once, each result
+/// bit-identical to its own toneAmplitude call: the window and the
+/// twiddles are computed once per sample for all of them.
+std::vector<double> toneAmplitudes(
+    std::span<const std::vector<double>* const> signals, double sampleRate,
+    double frequency);
 
 }  // namespace ahfic::util

@@ -28,8 +28,10 @@ extern "C" __attribute__((noinline)) void ahficProfTestAnchor() {
 
 // Pure arithmetic leaf (calls nothing), exported for the same reason:
 // while it runs, every profiler sample should name it as the leaf.
-extern "C" __attribute__((noinline)) double ahficProfTestBurnLeaf(double acc,
-                                                                  long n) {
+// noipa: at -O3 GCC would otherwise run a local constant-propagated
+// clone (ahficProfTestBurnLeaf.constprop.0) that dladdr cannot name.
+extern "C" __attribute__((noinline, noipa)) double ahficProfTestBurnLeaf(
+    double acc, long n) {
   for (long i = 0; i < n; ++i) acc = acc * 1.0000001 + 1e-9;
   return acc;
 }

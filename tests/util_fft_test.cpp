@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "util/error.h"
 #include "util/numeric.h"
@@ -100,4 +102,24 @@ TEST(Spectrum, NextPow2) {
 TEST(Spectrum, RejectsBadInputs) {
   EXPECT_THROW(u::amplitudeSpectrum({1.0}, 1e9), ahfic::Error);
   EXPECT_THROW(u::amplitudeSpectrum({1.0, 2.0}, 0.0), ahfic::Error);
+}
+
+TEST(Spectrum, ToneAmplitudesMatchSingleCallsBitForBit) {
+  // Shared window and twiddles; each signal keeps its own sums.
+  std::vector<double> a(1000), b(1000), c(999);
+  for (size_t k = 0; k < a.size(); ++k) {
+    a[k] = std::sin(0.05 * static_cast<double>(k));
+    b[k] = 1e-3 * std::cos(0.11 * static_cast<double>(k)) + 0.2;
+  }
+  const std::vector<double>* both[] = {&a, &b};
+  const auto amps = u::toneAmplitudes(both, 1e6, 12e3);
+  ASSERT_EQ(amps.size(), 2u);
+  const double one = u::toneAmplitude(a, 1e6, 12e3);
+  const double two = u::toneAmplitude(b, 1e6, 12e3);
+  EXPECT_EQ(std::memcmp(&amps[0], &one, sizeof one), 0);
+  EXPECT_EQ(std::memcmp(&amps[1], &two, sizeof two), 0);
+
+  const std::vector<double>* unequal[] = {&a, &c};
+  EXPECT_THROW(u::toneAmplitudes(unequal, 1e6, 12e3), ahfic::Error);
+  EXPECT_THROW(u::toneAmplitudes({}, 1e6, 12e3), ahfic::Error);
 }
